@@ -8,6 +8,7 @@ collects every fault before raising, not just the first.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -160,6 +161,8 @@ class ScenarioConfig:
                 sat_hi=m.saturation_hi_mm,
                 play_width=m.play_width_pa,
             ),
+            p_supply=p.supply_pressure_pa,
+            p_tank=p.tank_pressure_pa,
             supply_droop=p.supply_droop_pa_per_m3,
         )
 
@@ -170,9 +173,7 @@ class ScenarioConfig:
             movement_time=p.valve_movement_time_s,
             sticking_time=p.valve_sticking_time_s,
         )
-        return initial_state(
-            plant, p.supply_pressure_pa, p.tank_pressure_pa, p.initial_pressure_pa, valve
-        )
+        return initial_state(plant, p.initial_pressure_pa, valve)
 
     def build_reference(self) -> ReferenceSignal:
         r = self.reference
@@ -261,15 +262,22 @@ def _parse_float_list(text: str) -> tuple:
 def _convert(section: str, key: str, text: str, target_type: type, errors: list[str]):
     try:
         if target_type is float:
-            return float(text)
-        if target_type is int:
+            value = float(text)
+            finite = math.isfinite(value)
+        elif target_type is tuple:
+            value = _parse_float_list(text)
+            finite = all(map(math.isfinite, value))
+        elif target_type is int:
             return int(text)
-        if target_type is tuple:
-            return _parse_float_list(text)
-        return text
+        else:
+            return text
     except ValueError:
         errors.append(f"[{section}] {key}: cannot parse {text!r} as {target_type.__name__}")
         return None
+    if not finite:
+        errors.append(f"[{section}] {key}: {text!r} is not finite")
+        return None
+    return value
 
 
 def read_raw(path: str | Path) -> dict[str, dict[str, str]]:
@@ -296,8 +304,11 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         errors.append("[run] duration_s must be > 0")
     if r.dt_s <= 0.0:
         errors.append("[run] dt_s must be > 0")
-    elif not _is_multiple(r.command_quantum_s, r.dt_s):
-        errors.append("[run] command_quantum_s must be a whole multiple of dt_s")
+    else:
+        if not _is_multiple(r.command_quantum_s, r.dt_s):
+            errors.append("[run] command_quantum_s must be a whole multiple of dt_s")
+        if 0.0 < r.duration_s < r.dt_s:
+            errors.append("[run] duration_s must be >= dt_s")
 
     if p.tank_pressure_pa >= p.supply_pressure_pa:
         errors.append("[plant] tank_pressure_pa must be < supply_pressure_pa")
@@ -327,6 +338,8 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         errors.append("[controller] sample_period_s must be a whole multiple of command_quantum_s")
     if r.dt_s > 0.0 and not _is_multiple(c.window_s, r.command_quantum_s):
         errors.append("[controller] window_s must be a whole multiple of command_quantum_s")
+    if r.dt_s > 0.0 and not _is_multiple(c.pi_period_s, r.command_quantum_s):
+        errors.append("[controller] pi_period_s must be a whole multiple of command_quantum_s")
     if c.threshold_mm <= 0.0:
         errors.append("[controller] threshold_mm must be > 0")
     if not 0.0 <= c.duty <= 1.0:
@@ -335,8 +348,8 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         text = getattr(c, key)
         if text:
             try:
-                if float(text) <= 0.0:
-                    errors.append(f"[controller] {key} must be > 0")
+                if not 0.0 < float(text) < math.inf:
+                    errors.append(f"[controller] {key} must be finite and > 0")
             except ValueError:
                 errors.append(f"[controller] {key}: cannot parse {text!r} as float")
 

@@ -22,11 +22,6 @@ from dataclasses import dataclass, replace
 from .orifice import OrificeModel, orifice_flow
 from .tube import TubeModelLinear, tube_pressure
 
-HOLD = "hold"
-PRESSURIZE = "pressurize"
-DEPRESSURIZE = "depressurize"
-
-
 @dataclass(frozen=True)
 class ModelBasedControllerState:
     """Internal model and estimate of the sensorless pressure controller.
@@ -56,26 +51,6 @@ def model_based_init(state: ModelBasedControllerState, p0: float) -> ModelBasedC
     return replace(state, est_volume=p0 / state.tube.c_a, est_pressure=p0)
 
 
-def model_based_predictions(
-    state: ModelBasedControllerState, p_supply: float, p_tank: float
-) -> dict[str, tuple[float, float]]:
-    """Predicted (volume, pressure) after one sample period for each action.
-
-    Pressures are assumed constant over the period; predicted volumes are
-    clamped at zero (the tube cannot be pumped below empty).
-    """
-    T = state.sample_period
-    v = state.est_volume
-    p = state.est_pressure
-    v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
-    v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
-    return {
-        HOLD: (v, p),
-        PRESSURIZE: (v_hp, tube_pressure(state.tube, v_hp)),
-        DEPRESSURIZE: (v_lp, tube_pressure(state.tube, v_lp)),
-    }
-
-
 def model_based_tick(
     state: ModelBasedControllerState,
     p_ref: float,
@@ -84,25 +59,32 @@ def model_based_tick(
 ) -> tuple[bool, bool, ModelBasedControllerState]:
     """One decision tick; returns (hp_cmd, lp_cmd, updated state).
 
-    Holding wins outright whenever its error is within the tolerance band,
-    to avoid needless valve switching. Otherwise the argmin over the three
-    predicted errors decides, with exact ties broken hold-first, then
-    pressurize. (ON, ON) is never emitted.
+    Each action's (volume, pressure) after one sample period is predicted
+    with the pressures held constant over the period and the volume clamped
+    at zero (the tube cannot be pumped below empty). Holding wins outright
+    whenever its error is within the tolerance band, to avoid needless valve
+    switching. Otherwise the argmin over the three predicted errors decides,
+    with exact ties broken hold-first, then pressurize. (ON, ON) is never
+    emitted.
     """
-    pred = model_based_predictions(state, p_supply, p_tank)
-    errs = {a: abs(p_ref - p) for a, (_, p) in pred.items()}
-
-    if errs[HOLD] <= state.tolerance:
-        choice = HOLD
+    T = state.sample_period
+    v = state.est_volume
+    p = state.est_pressure
+    v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
+    v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
+    # (hp_cmd, lp_cmd, volume, pressure) in tie-break order; min keeps the
+    # first of equal errors.
+    actions = (
+        (False, False, v, p),
+        (True, False, v_hp, tube_pressure(state.tube, v_hp)),
+        (False, True, v_lp, tube_pressure(state.tube, v_lp)),
+    )
+    if abs(p_ref - p) <= state.tolerance:
+        choice = actions[0]
     else:
-        choice = HOLD
-        for action in (PRESSURIZE, DEPRESSURIZE):
-            if errs[action] < errs[choice]:
-                choice = action
-
-    v_new, p_new = pred[choice]
-    new_state = replace(state, est_volume=v_new, est_pressure=p_new)
-    return choice == PRESSURIZE, choice == DEPRESSURIZE, new_state
+        choice = min(actions, key=lambda a: abs(p_ref - a[3]))
+    hp_cmd, lp_cmd, v_new, p_new = choice
+    return hp_cmd, lp_cmd, replace(state, est_volume=v_new, est_pressure=p_new)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .orifice import OrificeModel, orifice_flow
-from .tube import TipPositionMap, TubeModelLinear, tube_pressure
+from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
 from .valve import ValveDynamics, valve_step
 
 
@@ -19,6 +19,7 @@ from .valve import ValveDynamics, valve_step
 class PlantModel:
     """Time-invariant plant parameters.
 
+    p_supply and p_tank are the absolute supply and tank pressures (Pa).
     supply_droop (Pa/m^3) lowers the effective supply pressure in proportion
     to the cumulative volume drawn from it; 0 keeps the supply ideal.
     """
@@ -27,15 +28,19 @@ class PlantModel:
     hp_orifice: OrificeModel
     lp_orifice: OrificeModel
     tip_map: TipPositionMap
+    p_supply: float
+    p_tank: float
     supply_droop: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.p_supply < 0.0 or self.p_tank < 0.0:
+            raise ValueError("absolute pressures must be >= 0")
 
 
 @dataclass(frozen=True)
 class HydraulicState:
     """Full plant state advanced each step."""
 
-    p_supply: float
-    p_tank: float
     v_tube: float
     p_tube: float
     hp_valve: ValveDynamics
@@ -46,18 +51,12 @@ class HydraulicState:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        if self.p_supply < 0.0 or self.p_tank < 0.0:
-            raise ValueError("absolute pressures must be >= 0")
         if self.v_tube < 0.0:
             raise ValueError("tube volume must be >= 0")
 
 
 def initial_state(
-    plant: PlantModel,
-    p_supply: float,
-    p_tank: float,
-    p_tube: float,
-    valve_template: ValveDynamics,
+    plant: PlantModel, p_tube: float, valve_template: ValveDynamics
 ) -> HydraulicState:
     """Plant state at rest with both valves closed and the tube at p_tube.
 
@@ -65,10 +64,8 @@ def initial_state(
     committed travel direction.
     """
     v = p_tube / plant.tube.c_a
-    tip, play = tip_position_of(plant, p_tube, p_tube)
+    tip, play = tip_position(plant.tip_map, p_tube, p_tube)
     return HydraulicState(
-        p_supply=p_supply,
-        p_tank=p_tank,
         v_tube=v,
         p_tube=p_tube,
         hp_valve=valve_template,
@@ -76,12 +73,6 @@ def initial_state(
         tip_y=tip,
         play_out=play,
     )
-
-
-def tip_position_of(plant: PlantModel, p: float, play_out: float) -> tuple[float, float]:
-    from .tube import tip_position
-
-    return tip_position(plant.tip_map, p, play_out)
 
 
 def plant_step(
@@ -103,9 +94,9 @@ def plant_step(
     hp_valve = valve_step(state.hp_valve, hp_cmd, dt)
     lp_valve = valve_step(state.lp_valve, lp_cmd, dt)
 
-    p_sup = state.p_supply - plant.supply_droop * state.v_drawn
+    p_sup = plant.p_supply - plant.supply_droop * state.v_drawn
     q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, p_sup, state.p_tube)
-    q_lp = orifice_flow(plant.lp_orifice, lp_valve.armature, state.p_tank, state.p_tube)
+    q_lp = orifice_flow(plant.lp_orifice, lp_valve.armature, plant.p_tank, state.p_tube)
 
     dv = (q_hp + q_lp) * dt
     v_new = state.v_tube + dv
@@ -117,7 +108,7 @@ def plant_step(
         clamped = True
 
     p_new = tube_pressure(plant.tube, v_new)
-    tip, play = tip_position_of(plant, p_new, state.play_out)
+    tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 
     new_state = replace(
         state,

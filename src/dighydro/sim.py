@@ -8,8 +8,7 @@ A run is strictly single-threaded and deterministic given its config.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +82,9 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa
 
-    times: list[float] = []
-    p_hist: list[float] = []
-    pos_hist: list[float] = []
     rows: dict[str, list[float]] = {name: [] for name in TRACE_COLUMNS}
+    # The sensors read the true histories straight from the trace columns.
+    t_col, p_col, y_col = rows["t"], rows["p_tube"], rows["tip_y"]
     dvs: list[float] = []
     clamp_events = 0
 
@@ -95,39 +93,29 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
 
     for k in range(n_steps):
         t = k * dt
-        times.append(t)
-        p_hist.append(state.p_tube)
-        pos_hist.append(state.tip_y)
+        t_col.append(t)
+        p_col.append(state.p_tube)
+        y_col.append(state.tip_y)
 
-        sensed_p = sensor_read(p_sensor, times, p_hist, t, rng)
-        sensed_pos = sensor_read(pos_sensor, times, pos_hist, t, rng)
+        sensed_p = sensor_read(p_sensor, t_col, p_col, t, rng)
+        sensed_pos = sensor_read(pos_sensor, t_col, y_col, t, rng)
         r = reference_eval(ref, t)
 
+        # Controllers absent from this run are None; under PI the
+        # model-based inner loop tracks the PI output instead of r.
         if k % quantum_steps == 0:
-            if kind == "pressure_model":
-                if k % sample_steps == 0:
-                    hp_cmd, lp_cmd, mb = model_based_tick(
-                        mb, r, cfg.plant.supply_pressure_pa, cfg.plant.tank_pressure_pa
-                    )
-            elif kind == "switching":
+            if pi is not None and k % pi_steps == 0:
+                p_ref_inner, pi = pi_tick(pi, r - sensed_pos, cfg.controller.pi_period_s)
+            if mb is not None and k % sample_steps == 0:
+                p_ref = r if pi is None else p_ref_inner
+                hp_cmd, lp_cmd, mb = model_based_tick(mb, p_ref, plant.p_supply, plant.p_tank)
+            if sw is not None:
                 if k % window_steps == 0:
                     schedule, sw = switching_tick(sw, r - sensed_pos)
                 hp_cmd, lp_cmd = schedule.pop(0)
-            elif kind == "pi_pressure":
-                if k % pi_steps == 0:
-                    p_ref_inner, pi = pi_tick(pi, r - sensed_pos, cfg.controller.pi_period_s)
-                if k % sample_steps == 0:
-                    hp_cmd, lp_cmd, mb = model_based_tick(
-                        mb, p_ref_inner, cfg.plant.supply_pressure_pa, cfg.plant.tank_pressure_pa
-                    )
-            else:
-                hp_cmd = lp_cmd = False
 
-        rows["t"].append(t)
         rows["ref"].append(r)
-        rows["p_tube"].append(state.p_tube)
         rows["v_tube"].append(state.v_tube)
-        rows["tip_y"].append(state.tip_y)
         rows["hp_cmd"].append(float(hp_cmd))
         rows["lp_cmd"].append(float(lp_cmd))
         rows["hp_arm"].append(state.hp_valve.armature)

@@ -1,6 +1,6 @@
 import pytest
 
-from dighydro import ConfigError, load_config, scenario_path
+from dighydro import ConfigError, load_config, run_simulation, scenario_path
 from dighydro.config import apply_overrides, cross_validate, from_raw, read_raw
 
 
@@ -64,6 +64,40 @@ def test_quantum_must_divide_sample_period(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert any("sample_period_s" in e for e in exc.value.errors)
+    # A zero PI period would divide by zero in the engine; 12.3 ms would
+    # silently tick every 25 ms.
+    for period in ("0", "0.0123"):
+        path.write_text(f"[controller]\nkind = pi_pressure\npi_period_s = {period}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert any("pi_period_s" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize(
+    "dotted, text",
+    [
+        ("plant.supply_pressure_pa", "nan"),
+        ("run.dt_s", "nan"),
+        ("run.duration_s", "inf"),
+        ("reference.step_levels", "0.0, -inf"),
+        ("controller.ctrl_kv_hp", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_with_location(dotted, text):
+    section, _, key = dotted.partition(".")
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("step_unloaded_p1"), {dotted: text})
+    assert any(e.startswith(f"[{section}] {key}") for e in exc.value.errors)
+
+
+def test_duration_shorter_than_one_step_is_rejected():
+    # Less than one step would give an empty trace, which compute_metrics
+    # cannot digest.
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("step_unloaded_p1"), {"run.duration_s": "2e-4"})
+    assert any("duration_s" in e for e in exc.value.errors)
+    cfg = load_config(scenario_path("step_unloaded_p1"), {"run.duration_s": "5e-4"})
+    assert len(run_simulation(cfg)) == 1
 
 
 def test_overrides_change_values():

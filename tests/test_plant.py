@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -22,11 +23,13 @@ def make_plant(kv=1e-8, c_a=3.3e11, play=0.0):
         hp_orifice=OrificeModel(k_v=kv, p_tr=1e3),
         lp_orifice=OrificeModel(k_v=kv, p_tr=1e3),
         tip_map=TipPositionMap(gain=2e-5, play_width=play),
+        p_supply=600e3,
+        p_tank=0.0,
     )
 
 
 def make_state(plant, p_tube=200e3, valve=NO_DYNAMICS):
-    return initial_state(plant, 600e3, 0.0, p_tube, valve)
+    return initial_state(plant, p_tube, valve)
 
 
 def test_both_valves_closed_is_a_fixed_point():
@@ -98,6 +101,8 @@ def test_supply_droop_lowers_effective_supply():
         hp_orifice=OrificeModel(k_v=1e-8, p_tr=1e3),
         lp_orifice=OrificeModel(k_v=1e-8, p_tr=1e3),
         tip_map=TipPositionMap(gain=2e-5),
+        p_supply=600e3,
+        p_tank=0.0,
         supply_droop=1e12,
     )
     ideal = make_plant()
@@ -115,10 +120,10 @@ def test_rejects_nonpositive_dt_and_negative_state():
     with pytest.raises(ValueError):
         plant_step(plant, state, False, False, 0.0)
     with pytest.raises(ValueError):
+        replace(plant, p_supply=-1.0)
+    with pytest.raises(ValueError):
         HydraulicState(
-            p_supply=-1.0,
-            p_tank=0.0,
-            v_tube=0.0,
+            v_tube=-1.0,
             p_tube=0.0,
             hp_valve=NO_DYNAMICS,
             lp_valve=NO_DYNAMICS,

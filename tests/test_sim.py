@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,46 @@ from dighydro import (
     volume_ledger_error,
 )
 from dighydro.metrics import tracking_error
+from dighydro.sim import TRACE_COLUMNS
+
+# sha256 over the little-endian float64 bytes of every trace column, in
+# TRACE_COLUMNS order. They lock the engine paths that the two golden
+# scenarios do not reach: the miscalibrated, loaded and hysteretic plants,
+# the PI outer loop, sensor noise and supply droop.
+PINNED_TRACES = [
+    ("chirp_miscalibrated", (), "6dda22f10e6e3ff233382c7fe45ca15e1d0a88ff34a4f0fe763645e91d9e3684"),
+    ("step_unloaded_p2", (), "e4dd187b8db9626d5e42e2b24d169541fda368b0e6e9a788b711b2dd4bf81052"),
+    ("step_loaded", (), "7597fbc9335fd0e807e098fc68b1ff0f2a2419c26b9575544f067f96945a691c"),
+    ("hysteresis", (), "325890b653f603e8a4fdbe955fe08319780103ce5bd3264d941043086deda618"),
+    (
+        "step_unloaded_p1",
+        (("controller.kind", "pi_pressure"),),
+        "f37485823bbbd9a488101b05c882158a250b5e68d692d45c29b7c5f24cc1c8f2",
+    ),
+    (
+        "chirp_matched",
+        (
+            ("sensor.pressure_noise_std_pa", "500"),
+            ("sensor.position_noise_std_mm", "0.02"),
+            ("run.seed", "77"),
+            ("plant.supply_droop_pa_per_m3", "1e11"),
+        ),
+        "d3c8e54946d8dbe67733062f733ee25eed723ae8d489b7f0280968971b520815",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, expected",
+    PINNED_TRACES,
+    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy_droop"],
+)
+def test_pinned_trace_hashes(scenario_run, name, overrides, expected):
+    _, trace = scenario_run(name, overrides)
+    digest = hashlib.sha256()
+    for column in TRACE_COLUMNS:
+        digest.update(np.ascontiguousarray(trace[column], dtype="<f8").tobytes())
+    assert digest.hexdigest() == expected
 
 
 def test_identical_configs_give_identical_traces(scenario_run):
