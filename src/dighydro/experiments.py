@@ -13,7 +13,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, load_config
 from .metrics import RunMetrics, compute_metrics, write_metrics
 from .sim import SimTrace, run_simulation
-from .traceio import write_trace
+from .traceio import sidecar_path, write_trace
 from .tube import TipPositionMap, tip_position
 
 BUNDLED_SCENARIOS = (
@@ -48,7 +48,8 @@ def run_scenario(
     out_dir: str | Path = ".",
     overrides: dict[str, str] | None = None,
 ) -> tuple[Path, Path, RunMetrics, SimTrace]:
-    """Run one scenario and write <label>_trace.csv and <label>_metrics.json.
+    """Run one scenario and write <label>_trace.csv, its
+    <label>_trace.csv.meta.json sidecar and <label>_metrics.json.
 
     Partial output files are removed if anything fails mid-run.
     """
@@ -63,7 +64,7 @@ def run_scenario(
         write_trace(trace, trace_path)
         write_metrics(metrics, metrics_path)
     except BaseException:
-        for path in (trace_path, metrics_path):
+        for path in (trace_path, sidecar_path(trace_path), metrics_path):
             path.unlink(missing_ok=True)
         raise
     return trace_path, metrics_path, metrics, trace

@@ -4,11 +4,29 @@ One explicit-Euler step advances both valve armatures, evaluates the two
 orifice flows against the current pressures (high-pressure valve from the
 supply, low-pressure valve towards the tank), integrates the net flow into
 the tube volume, and re-evaluates tube pressure and tip position.
+
+Quiescent steps are not recomputed. `plant_step` is a pure function of the
+plant, the state, the held commands and dt, so when a call returns a state
+bitwise equal to its input, that state is a fixed point: every later call on
+it with the same plant and dt and with both valves still at rest returns it
+again, with the same booked volume. `plant_step` remembers the last such
+fixed point and, when it is handed that very state again and `valve_step`
+hands back both valves unchanged (it returns a valve at rest itself), returns
+the state and its volume without evaluating the orifices, the tube or the
+tip map. The rest of the step sees the commands only through the valves, so
+the memo needs no other key. The compare is on the float64 bits of every
+field (`_state_bits`), not on `==`, which equates 0.0 with -0.0 where
+`orifice_flow` keeps the sign through `copysign`, and never matches NaN. A
+clamped fixed point is returned with `clamped` set on every call, as a full
+step would return it. With both valves closed the first step still moves the
+state (it re-canonicalises `p_tube = c_a * v_tube`), so the memo takes over
+one step later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .orifice import OrificeModel, orifice_flow
 from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
@@ -55,6 +73,27 @@ class HydraulicState:
             raise ValueError("tube volume must be >= 0")
 
 
+_DOUBLE = struct.Struct("<d")
+
+
+def _state_bits(obj) -> tuple:
+    """Every field of a state dataclass, floats as their float64 bytes and
+    nested dataclasses unfolded, so equal tuples mean bitwise equal states."""
+    return tuple(
+        _state_bits(v) if is_dataclass(v) else _DOUBLE.pack(v) if isinstance(v, float) else v
+        for v in (getattr(obj, f.name) for f in fields(obj))
+    )
+
+
+# (plant, state, dt, dv) of the last call that returned its input state
+# unchanged, bit for bit. Every caller in the process shares it, but a hit
+# needs the very plant and state objects held here (which keeps their
+# identities from being reused), and the tuple is read once and replaced
+# whole, so callers can only displace each other's entry, never read a
+# wrong one.
+_fixed_point: tuple[PlantModel, HydraulicState, float, float] | None = None
+
+
 def initial_state(
     plant: PlantModel, p_tube: float, valve_template: ValveDynamics
 ) -> HydraulicState:
@@ -88,11 +127,22 @@ def plant_step(
     change booked into the tube this step (after any clamping at zero), so
     callers can keep an exact conservation ledger.
     """
+    global _fixed_point
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
 
     hp_valve = valve_step(state.hp_valve, hp_cmd, dt)
     lp_valve = valve_step(state.lp_valve, lp_cmd, dt)
+    fixed = _fixed_point
+    if (
+        fixed is not None
+        and fixed[1] is state
+        and fixed[0] is plant
+        and fixed[2] == dt
+        and hp_valve is state.hp_valve
+        and lp_valve is state.lp_valve
+    ):
+        return state, fixed[3]
 
     p_sup = plant.p_supply - plant.supply_droop * state.v_drawn
     q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, p_sup, state.p_tube)
@@ -121,4 +171,8 @@ def plant_step(
         v_drawn=state.v_drawn + max(q_hp, 0.0) * dt,
         clamped=clamped,
     )
+    # The v_tube compare rejects a moving plant before the full one.
+    if v_new == state.v_tube and _state_bits(new_state) == _state_bits(state):
+        _fixed_point = (plant, state, dt, dv)
+        return state, dv
     return new_state, dv

@@ -4,10 +4,15 @@ The engine owns all timing: plant steps at dt, valve commands held for a
 whole command quantum, controller decisions on their own (coarser) grids,
 and the delayed/quantized sensors reading from the recorded true histories.
 A run is strictly single-threaded and deterministic given its config.
+
+The engine steps the plant on every step. Quiescent steps stay cheap all the
+same: `plant_step` hands a fixed point of the plant straight back without
+recomputing it (see `plant`), bit for bit as a full step would.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,9 @@ TRACE_COLUMNS = (
     "sensed_pos",
     "sensed_p",
 )
+
+# What a trace's tracking error is measured in (see metrics.tracking_error).
+CONTROL_DOMAINS = ("none", "pressure", "position")
 
 
 @dataclass
@@ -82,10 +90,14 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa
 
-    rows: dict[str, list[float]] = {name: [] for name in TRACE_COLUMNS}
-    # The sensors read the true histories straight from the trace columns.
-    t_col, p_col, y_col = rows["t"], rows["p_tube"], rows["tip_y"]
-    dvs: list[float] = []
+    # The sensors bisect the true histories straight from the trace columns,
+    # kept as lists for that; the other columns are packed doubles, 8 bytes
+    # a value instead of a float object and a list slot.
+    t_col: list[float] = []
+    p_col: list[float] = []
+    y_col: list[float] = []
+    rows = {name: array("d") for name in TRACE_COLUMNS} | {"t": t_col, "p_tube": p_col, "tip_y": y_col}
+    dvs = array("d")
     clamp_events = 0
 
     hp_cmd = lp_cmd = False

@@ -2,37 +2,76 @@
 
 Column order is fixed; floats are written with Python's shortest round-trip
 representation so that reading a trace back reproduces it bit for bit.
+
+Most columns repeat from row to row on quiescent steps, so `repr` runs only
+where a value's float64 bits differ from the row before; a repeated value
+reuses the text already made for it. The bits, not `==`, decide, so 0.0
+and -0.0 keep their own texts. The rows are written in chunks of
+`CHUNK_ROWS`, which bounds the memory the texts take, and the last value
+and text of each column carry over from one chunk to the next.
+
+Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
+sidecar holding the trace's label, control domain and step size, which the
+CSV has no room for; `read_trace` reads it back when it is there, so metrics computed from
+a trace read from disk equal those of the run that wrote it.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from array import array
 from pathlib import Path
 
 import numpy as np
 
-from .sim import TRACE_COLUMNS, SimTrace
+from .sim import CONTROL_DOMAINS, TRACE_COLUMNS, SimTrace
+
+CHUNK_ROWS = 1024
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def sidecar_path(path: str | Path) -> Path:
+    """Path of the label/control-domain/dt sidecar of a trace CSV."""
+    path = Path(path)
+    return path.with_name(path.name + ".meta.json")
+
+
+def _column_texts(values: np.ndarray, memo: list) -> list[str]:
+    """Text of each value. memo holds [bits, text] of the value written
+    before these and is moved on to the last of them."""
+    bits = values.view(np.uint64)
+    changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if int(bits[0]) != memo[0]:
+        memo[:] = int(bits[0]), repr(values[0].item())
+    texts = [memo[1], *map(repr, values[changes].tolist())]
+    memo[:] = int(bits[-1]), texts[-1]
+    runs = np.diff(changes, prepend=0, append=len(values))
+    return np.repeat(np.array(texts, dtype=object), runs).tolist()
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:
     path = Path(path)
+    cols = [np.ascontiguousarray(trace.columns[name], dtype=np.float64) for name in TRACE_COLUMNS]
+    memos = [[None, ""] for _ in cols]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        cols = [trace.columns[name] for name in TRACE_COLUMNS]
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, len(trace), CHUNK_ROWS):
+            texts = [_column_texts(c[start : start + CHUNK_ROWS], m) for c, m in zip(cols, memos)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+    meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
+    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_trace(path: str | Path) -> SimTrace:
     path = Path(path)
+    meta = _read_sidecar(sidecar_path(path))
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}: {header}")
-        data: list[list[float]] = [[] for _ in TRACE_COLUMNS]
+        # Packed doubles: 8 bytes a value while parsing, not a float object
+        # plus a list slot; the columns below are views of these buffers.
+        data = [array("d") for _ in TRACE_COLUMNS]
         for line in fh:
             line = line.strip()
             if not line:
@@ -43,4 +82,27 @@ def read_trace(path: str | Path) -> SimTrace:
             for store, text in zip(data, parts):
                 store.append(float(text))
     columns = {name: np.asarray(vals, dtype=float) for name, vals in zip(TRACE_COLUMNS, data)}
-    return SimTrace(columns=columns)
+    return SimTrace(columns=columns, **meta)
+
+
+def _read_sidecar(meta_path: Path) -> dict:
+    """The label, control domain and dt a sidecar holds, checked; none if
+    there is no sidecar."""
+    if not meta_path.is_file():
+        return {}
+    meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"trace sidecar {meta_path} is not a JSON object")
+    for key in ("label", "control_domain", "dt"):
+        if key not in meta:
+            raise ValueError(f"trace sidecar {meta_path} lacks {key!r}")
+    label, domain, dt = meta["label"], meta["control_domain"], meta["dt"]
+    if not isinstance(label, str):
+        raise ValueError(f"trace sidecar {meta_path}: label must be a string, got {label!r}")
+    if domain not in CONTROL_DOMAINS:
+        raise ValueError(
+            f"trace sidecar {meta_path}: control_domain must be one of {CONTROL_DOMAINS}, got {domain!r}"
+        )
+    if not isinstance(dt, float) or not math.isfinite(dt) or dt < 0.0:
+        raise ValueError(f"trace sidecar {meta_path}: dt must be a finite float >= 0, got {dt!r}")
+    return {"label": label, "control_domain": domain, "dt": dt}

@@ -60,6 +60,10 @@ def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
     """Advance the armature by `dt` seconds under a held boolean command."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if valve.phase == (OPEN if command else CLOSED):
+        # At rest against the commanded end stop: nothing moves, and the
+        # valve itself is returned, so callers can tell by identity.
+        return valve
 
     arm = valve.armature
     phase = valve.phase

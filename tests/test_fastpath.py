@@ -1,0 +1,125 @@
+"""plant_step's fixed-point memo against the plain per-step path.
+
+The plain path is the frozen seed copy of the package under
+perfbench/seedref/, whose plant_step computes every step in full. It is
+imported by path, under its own package name, and never edited.
+"""
+
+import importlib.util
+import struct
+import sys
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dighydro import (
+    BUNDLED_SCENARIOS,
+    ConfigError,
+    load_config,
+    plant,
+    run_simulation,
+    scenario_path,
+    sim,
+)
+from dighydro.config import CONTROLLER_KINDS
+from dighydro.sim import TRACE_COLUMNS
+
+SEED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "seedref" / "dighydro_seed"
+
+
+def _import_seed_copy():
+    name = SEED_DIR.name
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, SEED_DIR / "__init__.py", submodule_search_locations=[str(SEED_DIR)]
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+plain = _import_seed_copy()
+
+
+def _num(lo: float, hi: float) -> st.SearchStrategy[str]:
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def overrides(draw) -> dict[str, str]:
+    """Overrides of a bundled scenario: short runs, every controller kind,
+    valve timings, noise, low initial pressures, and supply droop strong
+    enough to turn the supply negative, so that it drains the tube through
+    the open supply valve and the volume clamps at zero."""
+    dt = draw(st.sampled_from([2.5e-4, 5e-4, 1e-3]))
+    o = {
+        "controller.kind": draw(st.sampled_from(CONTROLLER_KINDS)),
+        "run.dt_s": repr(dt),
+        "run.duration_s": repr(draw(st.integers(1, 500)) * dt),
+        "run.seed": str(draw(st.integers(0, 2**16))),
+        "plant.valve_delay_s": draw(st.sampled_from(["0", "5e-4", "1e-3"]) | _num(0.0, 4e-3)),
+        "plant.valve_movement_time_s": draw(st.sampled_from(["0", "2e-3"]) | _num(0.0, 4e-3)),
+        "plant.valve_sticking_time_s": draw(st.sampled_from(["0", "1e-3"]) | _num(0.0, 4e-3)),
+        "plant.initial_pressure_pa": draw(st.sampled_from(["0", "1", "-0.0"]) | _num(0.0, 3e5)),
+        "plant.kv_lp": draw(_num(5e-9, 8e-8)),
+        "plant.transition_pressure_pa": draw(_num(10.0, 5e3)),
+        "plant.supply_droop_pa_per_m3": draw(st.sampled_from(["0", "5e13"]) | _num(0.0, 1e14)),
+        "controller.tolerance_pa": draw(st.sampled_from(["0", "10e3"]) | _num(0.0, 5e4)),
+        "sensor.pressure_noise_std_pa": draw(st.sampled_from(["0", "500"])),
+        "sensor.position_noise_std_mm": draw(st.sampled_from(["0", "0.02"])),
+    }
+    if draw(st.booleans()):
+        o["controller.ctrl_kv_hp"] = draw(_num(5e-9, 2e-8))
+    return o
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(BUNDLED_SCENARIOS), o=overrides())
+def test_memo_is_bit_identical_to_plain_path(name, o):
+    try:
+        cfg = load_config(scenario_path(name), o)
+    except ConfigError:
+        return
+    # Every config load_config accepts runs to completion or raises ConfigError.
+    try:
+        fast = run_simulation(cfg)
+    except ConfigError:
+        return
+    ref = plain.run_simulation(plain.load_config(scenario_path(name), o))
+    for column in TRACE_COLUMNS:
+        assert fast[column].tobytes() == ref[column].tobytes(), column
+    assert fast.dv.tobytes() == ref.dv.tobytes()
+    assert _bits(fast.v_final) == _bits(ref.v_final)
+    assert fast.clamp_events == ref.clamp_events
+
+
+def test_clamped_fixed_points_are_memoised_and_counted(monkeypatch):
+    # The drooping supply goes negative and drains the tube through the open
+    # supply valve: with the tube empty, each step clamps to the same state.
+    o = {
+        "controller.kind": "pressure_model",
+        "reference.kind": "constant",
+        "reference.value": "300e3",
+        "plant.initial_pressure_pa": "0",
+        "plant.supply_droop_pa_per_m3": "5e13",
+        "run.duration_s": "1",
+    }
+    steps, flows = [], []
+    step, flow = sim.plant_step, plant.orifice_flow
+    monkeypatch.setattr(sim, "plant_step", lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(plant, "orifice_flow", lambda *args: flows.append(1) or flow(*args))
+    fast = run_simulation(load_config(scenario_path("chirp_matched"), o))
+    ref = plain.run_simulation(plain.load_config(scenario_path("chirp_matched"), o))
+    # The engine steps the plant every time; a full step evaluates both
+    # orifices, a memoised one neither.
+    assert len(steps) == len(fast)
+    assert ref.clamp_events > len(flows) // 2
+    assert fast.clamp_events == ref.clamp_events
+    assert fast.dv.tobytes() == ref.dv.tobytes()
+

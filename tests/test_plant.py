@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import dighydro.plant as plant_module
 from dighydro import (
     HydraulicState,
     OrificeModel,
@@ -40,6 +41,38 @@ def test_both_valves_closed_is_a_fixed_point():
         assert dv == 0.0
     assert state.p_tube == 200e3
     assert state.v_tube == 200e3 / 3.3e11
+
+
+def test_fixed_point_is_handed_back_without_recomputing(monkeypatch):
+    plant = make_plant()
+    state = make_state(plant)
+    for _ in range(2):
+        state, _ = plant_step(plant, state, False, False, 5e-3)
+    again, dv = plant_step(plant, state, False, False, 5e-3)
+    assert again is state and dv == 0.0
+
+    def no_flow(*args):
+        raise AssertionError("orifice evaluated on a known fixed point")
+
+    monkeypatch.setattr(plant_module, "orifice_flow", no_flow)
+    assert plant_step(plant, state, False, False, 5e-3) == (state, 0.0)
+    with pytest.raises(AssertionError, match="fixed point"):
+        plant_step(plant, state, True, False, 5e-3)  # the HP valve starts to move
+    with pytest.raises(AssertionError, match="fixed point"):
+        plant_step(plant, state, False, False, 1e-3)  # another dt
+
+
+def test_a_signed_zero_flip_is_not_a_fixed_point():
+    # With both valves closed v_drawn moves from -0.0 to 0.0: equal under ==,
+    # but not the same state, so it must come back with the new sign.
+    plant = make_plant()
+    state = make_state(plant)
+    for _ in range(2):
+        state, _ = plant_step(plant, state, False, False, 5e-3)
+    flipped = replace(state, v_drawn=-0.0)
+    after, _ = plant_step(plant, flipped, False, False, 5e-3)
+    assert after is not flipped
+    assert math.copysign(1.0, after.v_drawn) == 1.0
 
 
 def test_single_hp_step_transfers_expected_volume():

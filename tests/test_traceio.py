@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from dighydro import read_trace, run_simulation, write_trace
+from dighydro import (
+    SimTrace,
+    compute_metrics,
+    load_config,
+    read_trace,
+    run_scenario,
+    run_simulation,
+    scenario_path,
+    traceio,
+    write_trace,
+)
+from dighydro.experiments import settle_band
+from dighydro.sim import TRACE_COLUMNS
 
 
 def test_csv_round_trip_is_exact(tmp_path, scenario_run):
@@ -22,6 +34,18 @@ def test_repeated_writes_are_byte_identical(tmp_path, scenario_run):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("chunk_rows", [7, traceio.CHUNK_ROWS])
+def test_writer_matches_plain_row_by_row_repr(tmp_path, monkeypatch, scenario_run, chunk_rows):
+    monkeypatch.setattr(traceio, "CHUNK_ROWS", chunk_rows)
+    noisy = (("sensor.pressure_noise_std_pa", "500"), ("run.duration_s", "3"))
+    _, trace = scenario_run("chirp_matched", noisy)
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    rows = zip(*(trace[name].tolist() for name in TRACE_COLUMNS))
+    plain = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n" + plain
+
+
 def test_malformed_files_are_rejected(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("a,b,c\n1,2,3\n")
@@ -33,3 +57,69 @@ def test_malformed_files_are_rejected(tmp_path):
     bad_row.write_text(header + "\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace(bad_row)
+
+    bad_sidecar = tmp_path / "s.csv"
+    bad_sidecar.write_text(header + "\n" + ",".join(["0.0"] * 11) + "\n")
+    sidecars = {
+        '{"label": "s"}': "lacks 'control_domain'",
+        '["s", "pressure", 0.001]': "not a JSON object",
+        '{"label": 3, "control_domain": "pressure", "dt": 0.001}': "label",
+        '{"label": "s", "control_domain": "force", "dt": 0.001}': "control_domain",
+        '{"label": "s", "control_domain": "pressure", "dt": "0.001"}': "dt",
+        '{"label": "s", "control_domain": "pressure", "dt": 1}': "dt",
+        '{"label": "s", "control_domain": "pressure", "dt": NaN}': "dt",
+    }
+    for text, match in sidecars.items():
+        traceio.sidecar_path(bad_sidecar).write_text(text + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_trace(bad_sidecar)
+
+
+def test_sidecar_never_overwrites_its_trace(tmp_path, scenario_run):
+    _, trace = scenario_run("step_unloaded_p1")
+    path = tmp_path / "trace.json"
+    write_trace(trace, path)
+    assert traceio.sidecar_path(path) != path
+    back = read_trace(path)
+    assert (back.label, back.control_domain, back.dt) == (trace.label, trace.control_domain, trace.dt)
+    assert np.array_equal(back["p_tube"], trace["p_tube"])
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 4, traceio.CHUNK_ROWS])
+def test_repeated_values_keep_their_signed_zero_texts(tmp_path, monkeypatch, chunk_rows):
+    # With two-row chunks the run -0.0, -0.0 spans a chunk boundary; with
+    # one-row chunks every run does.
+    monkeypatch.setattr(traceio, "CHUNK_ROWS", chunk_rows)
+    values = np.array([0.0, -0.0, -0.0, 0.0, 1e-300, 1e-300])
+    trace = SimTrace(columns={name: values.copy() for name in TRACE_COLUMNS})
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    rows = path.read_text().splitlines()[1:]
+    expected = ["0.0", "-0.0", "-0.0", "0.0", "1e-300", "1e-300"]
+    assert rows == [",".join([text] * len(TRACE_COLUMNS)) for text in expected]
+    back = read_trace(path)
+    for name in TRACE_COLUMNS:
+        assert back[name].tobytes() == values.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("step_unloaded_p1", None), ("chirp_matched", {"run.duration_s": "3"})],
+)
+def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides):
+    trace_path, _, metrics, trace = run_scenario(scenario_path(name), tmp_path, overrides)
+    band = settle_band(load_config(scenario_path(name), overrides))
+    back = read_trace(trace_path)
+    for field in ("label", "control_domain", "dt"):
+        assert getattr(back, field) == getattr(trace, field), field
+    assert compute_metrics(back, band) == metrics
+
+
+def test_trace_without_sidecar_reads_as_unlabelled(tmp_path, scenario_run):
+    _, trace = scenario_run("hysteresis")
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    traceio.sidecar_path(path).unlink()
+    back = read_trace(path)
+    assert (back.label, back.control_domain, back.dt) == ("", "none", 0.0)
+    assert np.array_equal(back["p_tube"], trace["p_tube"])

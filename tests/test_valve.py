@@ -19,6 +19,15 @@ def test_closed_valve_stays_closed():
     assert v2.phase == CLOSED
 
 
+def test_valve_at_rest_is_returned_itself():
+    v = ValveDynamics(delay=2e-3, movement_time=3e-3, sticking_time=1e-3)
+    assert valve_step(v, False, 1e-3) is v
+    opened = step_many(v, [True] * 10, 1e-3)
+    assert opened.phase == OPEN
+    assert valve_step(opened, True, 1e-3) is opened
+    assert valve_step(opened, False, 1e-3) is not opened
+
+
 def test_opening_trajectory_is_piecewise_linear():
     # delay 2 ms then a 3 ms linear ramp: armature = 0 until 2 ms,
     # (t - 2ms) / 3ms afterwards, 1.0 from 5 ms on.
