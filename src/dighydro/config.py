@@ -191,18 +191,20 @@ class ScenarioConfig:
 
     def build_pressure_sensor(self) -> SensorModel:
         s = self.sensor
+        dt = self.run.dt_s
         return SensorModel(
-            sample_period=s.pressure_period_s,
-            transport_delay=s.pressure_delay_s,
+            sample_steps=round(s.pressure_period_s / dt),
+            delay_steps=round(s.pressure_delay_s / dt),
             quantization=s.pressure_quantization_pa,
             noise_std=s.pressure_noise_std_pa,
         )
 
     def build_position_sensor(self) -> SensorModel:
         s = self.sensor
+        dt = self.run.dt_s
         return SensorModel(
-            sample_period=s.position_period_s,
-            transport_delay=s.position_delay_s,
+            sample_steps=round(s.position_period_s / dt),
+            delay_steps=round(s.position_delay_s / dt),
             quantization=s.position_quantization_mm,
             noise_std=s.position_noise_std_mm,
         )
@@ -376,6 +378,11 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
     ):
         if getattr(s, key) < 0.0:
             errors.append(f"[sensor] {key} must be >= 0")
+    # The sensors count their timing in whole steps; a delay of 0 is allowed.
+    for key in ("pressure_period_s", "pressure_delay_s", "position_period_s", "position_delay_s"):
+        value = getattr(s, key)
+        if r.dt_s > 0.0 and value > 0.0 and not _is_multiple(value, r.dt_s):
+            errors.append(f"[sensor] {key} must be a whole multiple of dt_s")
 
     h = cfg.hysteresis
     if h.pressure_max_pa <= 0.0 or h.pressure_step_pa <= 0.0:

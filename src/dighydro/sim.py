@@ -5,6 +5,10 @@ whole command quantum, controller decisions on their own (coarser) grids,
 and the delayed/quantized sensors reading from the recorded true histories.
 A run is strictly single-threaded and deterministic given its config.
 
+Every trace column is recorded as packed doubles. The sensors count their
+period and delay in whole steps, so a read at step k indexes the p_tube or
+tip_y column directly; no time column is searched.
+
 The engine steps the plant on every step. Quiescent steps stay cheap all the
 same: `plant_step` hands a fixed point of the plant straight back without
 recomputing it (see `plant`), bit for bit as a full step would.
@@ -90,27 +94,40 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa
 
-    # The sensors bisect the true histories straight from the trace columns,
-    # kept as lists for that; the other columns are packed doubles, 8 bytes
-    # a value instead of a float object and a list slot.
-    t_col: list[float] = []
-    p_col: list[float] = []
-    y_col: list[float] = []
-    rows = {name: array("d") for name in TRACE_COLUMNS} | {"t": t_col, "p_tube": p_col, "tip_y": y_col}
+    # Packed doubles, 8 bytes a value; the sensors index p_col and y_col by step.
+    rows = {name: array("d") for name in TRACE_COLUMNS}
+    p_col, y_col = rows["p_tube"], rows["tip_y"]
+    (
+        append_t,
+        append_ref,
+        append_p,
+        append_v,
+        append_y,
+        append_hp_cmd,
+        append_lp_cmd,
+        append_hp_arm,
+        append_lp_arm,
+        append_sensed_pos,
+        append_sensed_p,
+    ) = (rows[name].append for name in TRACE_COLUMNS)
     dvs = array("d")
+    append_dv = dvs.append
     clamp_events = 0
 
     hp_cmd = lp_cmd = False
     schedule: list[tuple[bool, bool]] = []
 
+    # plant_step, sensor_read, reference_eval and the controller ticks are
+    # looked up as module globals on every call, never bound to locals, so
+    # that wrapping them on this module sees every call.
     for k in range(n_steps):
         t = k * dt
-        t_col.append(t)
-        p_col.append(state.p_tube)
-        y_col.append(state.tip_y)
+        append_t(t)
+        append_p(state.p_tube)
+        append_y(state.tip_y)
 
-        sensed_p = sensor_read(p_sensor, t_col, p_col, t, rng)
-        sensed_pos = sensor_read(pos_sensor, t_col, y_col, t, rng)
+        sensed_p = sensor_read(p_sensor, p_col, k, rng)
+        sensed_pos = sensor_read(pos_sensor, y_col, k, rng)
         r = reference_eval(ref, t)
 
         # Controllers absent from this run are None; under PI the
@@ -126,17 +143,17 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                     schedule, sw = switching_tick(sw, r - sensed_pos)
                 hp_cmd, lp_cmd = schedule.pop(0)
 
-        rows["ref"].append(r)
-        rows["v_tube"].append(state.v_tube)
-        rows["hp_cmd"].append(float(hp_cmd))
-        rows["lp_cmd"].append(float(lp_cmd))
-        rows["hp_arm"].append(state.hp_valve.armature)
-        rows["lp_arm"].append(state.lp_valve.armature)
-        rows["sensed_pos"].append(sensed_pos)
-        rows["sensed_p"].append(sensed_p)
+        append_ref(r)
+        append_v(state.v_tube)
+        append_hp_cmd(hp_cmd)
+        append_lp_cmd(lp_cmd)
+        append_hp_arm(state.hp_valve.armature)
+        append_lp_arm(state.lp_valve.armature)
+        append_sensed_pos(sensed_pos)
+        append_sensed_p(sensed_p)
 
         state, dv = plant_step(plant, state, hp_cmd, lp_cmd, dt)
-        dvs.append(dv)
+        append_dv(dv)
         if state.clamped:
             clamp_events += 1
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dighydro import ConfigError, load_config, run_simulation, scenario_path
@@ -98,6 +99,32 @@ def test_duration_shorter_than_one_step_is_rejected():
     assert any("duration_s" in e for e in exc.value.errors)
     cfg = load_config(scenario_path("step_unloaded_p1"), {"run.duration_s": "5e-4"})
     assert len(run_simulation(cfg)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("pressure_delay_s", "3e-4"),
+        ("pressure_period_s", "5.2e-3"),
+        ("position_delay_s", "1e-12"),
+        ("position_period_s", "2.5e-4"),
+    ],
+)
+def test_sensor_timing_must_sit_on_the_step_grid(key, text):
+    # The sensors count their period and delay in whole steps of dt_s = 5e-4.
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("step_unloaded_p1"), {f"sensor.{key}": text})
+    assert any(e.startswith(f"[sensor] {key}") for e in exc.value.errors)
+
+
+def test_zero_sensor_delay_is_accepted():
+    o = {"sensor.pressure_delay_s": "0", "sensor.position_delay_s": "0", "run.duration_s": "2"}
+    cfg = load_config(scenario_path("step_unloaded_p1"), o)
+    assert cfg.build_pressure_sensor().delay_steps == 0
+    trace = run_simulation(cfg)
+    # Undelayed, unquantized and noiseless: every 5 ms sample is the true value.
+    assert np.ptp(trace["p_tube"]) > 0.0
+    assert np.array_equal(trace["sensed_p"][::10], trace["p_tube"][::10])
 
 
 def test_overrides_change_values():

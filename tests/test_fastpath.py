@@ -1,8 +1,10 @@
-"""plant_step's fixed-point memo against the plain per-step path.
+"""The engine's fast paths against the plain per-step path.
 
 The plain path is the frozen seed copy of the package under
-perfbench/seedref/, whose plant_step computes every step in full. It is
-imported by path, under its own package name, and never edited.
+perfbench/seedref/, whose plant_step computes every step in full and whose
+sensors bisect the time column for each sample instead of indexing a delay
+line by step. It is imported by path, under its own package name, and never
+edited.
 """
 
 import importlib.util
@@ -10,6 +12,7 @@ import struct
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +50,10 @@ def _num(lo: float, hi: float) -> st.SearchStrategy[str]:
     return st.floats(lo, hi).map(repr)
 
 
+def _on_grid(draw, dt: float, lo: int, hi: int, special: tuple[int, ...]) -> str:
+    return repr(draw(st.sampled_from(special) | st.integers(lo, hi)) * dt)
+
+
 @st.composite
 def overrides(draw) -> dict[str, str]:
     """Overrides of a bundled scenario: short runs, every controller kind,
@@ -69,7 +76,13 @@ def overrides(draw) -> dict[str, str]:
         "controller.tolerance_pa": draw(st.sampled_from(["0", "10e3"]) | _num(0.0, 5e4)),
         "sensor.pressure_noise_std_pa": draw(st.sampled_from(["0", "500"])),
         "sensor.position_noise_std_mm": draw(st.sampled_from(["0", "0.02"])),
+        "sensor.pressure_quantization_pa": draw(st.sampled_from(["0", "1e3"]) | _num(0.0, 5e3)),
     }
+    # Sensor timing on the step grid, as whole steps: periods from one step
+    # up, delays from zero up to well past the period.
+    for sensor, period in (("pressure", 10), ("position", 100)):
+        o[f"sensor.{sensor}_period_s"] = _on_grid(draw, dt, 1, 2 * period, (1, period))
+        o[f"sensor.{sensor}_delay_s"] = _on_grid(draw, dt, 0, 3 * period, (0, 1))
     if draw(st.booleans()):
         o["controller.ctrl_kv_hp"] = draw(_num(5e-9, 2e-8))
     return o
@@ -79,9 +92,7 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(BUNDLED_SCENARIOS), o=overrides())
-def test_memo_is_bit_identical_to_plain_path(name, o):
+def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
     try:
         cfg = load_config(scenario_path(name), o)
     except ConfigError:
@@ -97,6 +108,39 @@ def test_memo_is_bit_identical_to_plain_path(name, o):
     assert fast.dv.tobytes() == ref.dv.tobytes()
     assert _bits(fast.v_final) == _bits(ref.v_final)
     assert fast.clamp_events == ref.clamp_events
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(BUNDLED_SCENARIOS), o=overrides())
+def test_memo_is_bit_identical_to_plain_path(name, o):
+    _assert_matches_plain_path(name, o)
+
+
+@pytest.mark.parametrize(
+    "name, dt, p_period, p_delay, y_period, y_delay",
+    [
+        ("chirp_matched", 5e-4, 1, 0, 1, 0),  # every step, undelayed
+        ("chirp_matched", 2.5e-4, 3, 7, 2, 13),  # delays longer than the period
+        ("step_unloaded_p1", 1e-3, 1, 5, 7, 0),
+        ("hysteresis", 5e-4, 4, 4, 100, 250),
+    ],
+)
+def test_delay_line_reads_what_the_plain_path_bisects(name, dt, p_period, p_delay, y_period, y_delay):
+    # The plain path finds the sample by bisecting the time column; the
+    # engine indexes the history by step. Both must see the same sample.
+    o = {
+        "run.dt_s": repr(dt),
+        "run.duration_s": repr(1200 * dt),
+        "sensor.pressure_period_s": repr(p_period * dt),
+        "sensor.pressure_delay_s": repr(p_delay * dt),
+        "sensor.position_period_s": repr(y_period * dt),
+        "sensor.position_delay_s": repr(y_delay * dt),
+        "sensor.pressure_quantization_pa": "250",
+        "sensor.pressure_noise_std_pa": "500",
+    }
+    cfg = load_config(scenario_path(name), o)
+    assert cfg.build_position_sensor().delay_steps == y_delay
+    _assert_matches_plain_path(name, o)
 
 
 def test_clamped_fixed_points_are_memoised_and_counted(monkeypatch):

@@ -5,32 +5,45 @@ from dighydro import SensorModel, quantize, sensor_read
 
 
 def test_identity_sensor_returns_current_value():
-    sensor = SensorModel(sample_period=1e-3, transport_delay=0.0, quantization=0.0)
-    times = [k * 1e-3 for k in range(10)]
+    sensor = SensorModel(sample_steps=1, delay_steps=0, quantization=0.0)
     values = [float(k) for k in range(10)]
-    assert sensor_read(sensor, times, values, 9e-3) == 9.0
+    assert sensor_read(sensor, values, 9) == 9.0
 
 
 def test_step_appears_no_earlier_than_the_delay():
-    sensor = SensorModel(sample_period=1e-3, transport_delay=4e-3)
-    dt = 1e-3
-    times = [k * dt for k in range(20)]
-    values = [0.0 if k == 0 else 1.0 for k in range(20)]  # step right after t = 0
+    sensor = SensorModel(sample_steps=1, delay_steps=4)
+    values = [0.0 if k == 0 else 1.0 for k in range(20)]  # step right after k = 0
     for k in range(20):
-        sensed = sensor_read(sensor, times, values, k * dt)
-        if k * dt < 4e-3 + dt:
+        sensed = sensor_read(sensor, values, k)
+        if k < 4 + 1:
             assert sensed == 0.0
         else:
             assert sensed == 1.0
 
 
 def test_sampling_holds_between_grid_points():
-    sensor = SensorModel(sample_period=5e-3, transport_delay=0.0)
-    dt = 1e-3
-    times = [k * dt for k in range(20)]
+    sensor = SensorModel(sample_steps=5, delay_steps=0)
     values = [float(k) for k in range(20)]
-    assert sensor_read(sensor, times, values, 7e-3) == 5.0
-    assert sensor_read(sensor, times, values, 10e-3) == 10.0
+    assert sensor_read(sensor, values, 7) == 5.0
+    assert sensor_read(sensor, values, 10) == 10.0
+
+
+def test_delay_longer_than_the_sample_period():
+    # Sample grid 0, 3, 6, ... read 7 steps late: step 12 sees sample 3.
+    sensor = SensorModel(sample_steps=3, delay_steps=7)
+    values = [float(k) for k in range(20)]
+    assert [sensor_read(sensor, values, k) for k in range(6, 14)] == [
+        0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 6.0
+    ]
+
+
+def test_read_at_step_k_needs_only_the_history_up_to_k():
+    sensor = SensorModel(sample_steps=4, delay_steps=2)
+    values = [float(k) for k in range(40)]
+    for k in range(40):
+        assert sensor_read(sensor, values[: k + 1], k) == sensor_read(sensor, values, k)
+    identity = SensorModel(sample_steps=1)
+    assert sensor_read(identity, values[:13], 12) == 12.0
 
 
 def test_quantization_rounds_ties_away_from_zero():
@@ -42,25 +55,33 @@ def test_quantization_rounds_ties_away_from_zero():
 
 
 def test_quantized_sensor_output():
-    sensor = SensorModel(sample_period=1e-3, quantization=0.5)
-    assert sensor_read(sensor, [0.0], [10.3], 0.0) == 10.5
+    sensor = SensorModel(sample_steps=1, quantization=0.5)
+    assert sensor_read(sensor, [10.3], 0) == 10.5
 
 
 def test_noise_is_seeded_and_reproducible():
-    sensor = SensorModel(sample_period=1e-3, noise_std=0.1)
-    a = sensor_read(sensor, [0.0], [1.0], 0.0, np.random.default_rng(7))
-    b = sensor_read(sensor, [0.0], [1.0], 0.0, np.random.default_rng(7))
+    sensor = SensorModel(sample_steps=1, noise_std=0.1)
+    a = sensor_read(sensor, [1.0], 0, np.random.default_rng(7))
+    b = sensor_read(sensor, [1.0], 0, np.random.default_rng(7))
     assert a == b
     assert a != 1.0
 
 
 def test_rejects_bad_history_and_params():
-    sensor = SensorModel(sample_period=1e-3)
-    with pytest.raises(ValueError):
-        sensor_read(sensor, [], [], 0.0)
-    with pytest.raises(ValueError):
-        sensor_read(sensor, [0.0], [1.0, 2.0], 0.0)
-    with pytest.raises(ValueError):
-        SensorModel(sample_period=0.0)
-    with pytest.raises(ValueError):
-        SensorModel(sample_period=1e-3, transport_delay=-1.0)
+    sensor = SensorModel(sample_steps=1)
+    with pytest.raises(IndexError):
+        sensor_read(sensor, [], 0)
+    with pytest.raises(IndexError):
+        sensor_read(sensor, [1.0, 2.0], 2)
+    for bad in (
+        {"sample_steps": 0},
+        {"sample_steps": -1},
+        {"sample_steps": 1, "delay_steps": -1},
+        {"sample_steps": 2.0},
+        {"sample_steps": 1, "delay_steps": 0.5},
+        {"sample_steps": True},
+        {"sample_steps": 1, "quantization": -0.1},
+        {"sample_steps": 1, "noise_std": -0.1},
+    ):
+        with pytest.raises(ValueError):
+            SensorModel(**bad)

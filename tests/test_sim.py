@@ -86,12 +86,15 @@ def test_commands_are_held_for_whole_quanta(scenario_run):
 def test_estimator_replays_plant_without_valve_dynamics():
     # With matched parameters, no valve dynamics, and the plant stepped at
     # the controller period, the sensorless estimate and the true pressure
-    # run the same arithmetic and must agree to well below 0.1 %.
+    # run the same arithmetic and must agree to well below 0.1 %. No sensor
+    # is read; the sensor delays only have to sit on the 5 ms step grid.
     overrides = {
         "plant.valve_delay_s": "0",
         "plant.valve_movement_time_s": "0",
         "plant.valve_sticking_time_s": "0",
         "run.dt_s": "5e-3",
+        "sensor.pressure_delay_s": "5e-3",
+        "sensor.position_delay_s": "1e-2",
     }
     cfg = load_config(scenario_path("chirp_matched"), overrides)
     plant = cfg.build_plant()
