@@ -11,9 +11,9 @@ from .experiments import hysteresis_sweep, run_scenario, sweep
 
 def _common_overrides(args: argparse.Namespace) -> dict[str, str]:
     overrides: dict[str, str] = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         overrides["run.dt_s"] = str(args.dt)
     return overrides
 
@@ -39,8 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="parameter as section.key, e.g. plant.kv_hp")
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
 
+    # The loop depends only on the tip map and [hysteresis], not on seed or dt.
     p_hyst = sub.add_parser("hysteresis", help="emit the quasi-static pressure/tip loop")
-    add_run_args(p_hyst)
+    p_hyst.add_argument("config", help="scenario config file")
+    p_hyst.add_argument("--out-dir", default=".", help="output directory (default: .)")
 
     p_val = sub.add_parser("validate", help="validate a scenario config file")
     p_val.add_argument("config", help="scenario config file")
@@ -71,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"wrote {table_path} ({len(rows)} runs)")
         elif args.command == "hysteresis":
-            csv_path, area, _ = hysteresis_sweep(args.config, args.out_dir, _common_overrides(args))
+            csv_path, area, _ = hysteresis_sweep(args.config, args.out_dir)
             print(f"wrote {csv_path}")
             print(f"loop_area={area!r} mm*Pa")
         elif args.command == "validate":

@@ -1,17 +1,16 @@
 """Scenario configuration: flat INI-style files with one section per subsystem.
 
-Every key is typed and has a default; unknown sections or keys are hard
-errors so a sweep cannot silently mutate a misspelled parameter. Validation
-collects every fault before raising, not just the first.
+Every key is declared once, as a field of its section dataclass: its type,
+its default and, through _positive or _nonneg, its single-key range rule.
+Unknown sections or keys are hard errors so a sweep cannot silently mutate a
+misspelled parameter. Validation collects every fault before raising, not
+just the first.
 """
-
-from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .controllers import (
     ModelBasedControllerState,
@@ -27,7 +26,14 @@ from .sensor import SensorModel
 from .tube import TipPositionMap, TubeModelLinear
 from .valve import ValveDynamics
 
-CONTROLLER_KINDS = ("none", "pressure_model", "switching", "pi_pressure")
+# Controller kind -> the units of its reference: pressure (Pa) or position (mm).
+CONTROLLER_DOMAINS = {
+    "none": "none",
+    "pressure_model": "pressure",
+    "switching": "position",
+    "pi_pressure": "position",
+}
+CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
 
 
 class ConfigError(Exception):
@@ -38,48 +44,58 @@ class ConfigError(Exception):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
+def _positive(default):
+    """A field whose value must be > 0; None (where allowed) is not checked."""
+    return field(default=default, metadata={"must_be": "> 0"})
+
+
+def _nonneg(default):
+    """A field whose value must be >= 0."""
+    return field(default=default, metadata={"must_be": ">= 0"})
+
+
 @dataclass
 class RunSection:
     label: str = "run"
-    duration_s: float = 10.0
-    dt_s: float = 5e-4
+    duration_s: float = _positive(10.0)
+    dt_s: float = _positive(5e-4)
     command_quantum_s: float = 5e-3
-    seed: int = 0
+    seed: int = _nonneg(0)
 
 
 @dataclass
 class PlantSection:
     supply_pressure_pa: float = 600e3
-    tank_pressure_pa: float = 0.0
-    tube_compliance_pa_per_m3: float = 3.3e11
-    kv_hp: float = 1e-8
-    kv_lp: float = 1e-8
-    transition_pressure_pa: float = 1e3
-    valve_delay_s: float = 1e-3
-    valve_movement_time_s: float = 2e-3
-    valve_sticking_time_s: float = 1e-3
-    initial_pressure_pa: float = 0.0
+    tank_pressure_pa: float = _nonneg(0.0)
+    tube_compliance_pa_per_m3: float = _positive(3.3e11)
+    kv_hp: float = _positive(1e-8)
+    kv_lp: float = _positive(1e-8)
+    transition_pressure_pa: float = _positive(1e3)
+    valve_delay_s: float = _nonneg(1e-3)
+    valve_movement_time_s: float = _nonneg(2e-3)
+    valve_sticking_time_s: float = _nonneg(1e-3)
+    initial_pressure_pa: float = _nonneg(0.0)
     supply_droop_pa_per_m3: float = 0.0
 
 
 @dataclass
 class TipMapSection:
-    gain_mm_per_pa: float = 2e-5
+    gain_mm_per_pa: float = _nonneg(2e-5)
     offset_mm: float = 0.0
     saturation_lo_mm: float = -100.0
     saturation_hi_mm: float = 100.0
-    play_width_pa: float = 0.0
+    play_width_pa: float = _nonneg(0.0)
 
 
 @dataclass
 class ControllerSection:
     kind: str = "none"
-    tolerance_pa: float = 10e3
+    tolerance_pa: float = _nonneg(10e3)
     sample_period_s: float = 5e-3
-    # Controller-side orifice copies; empty string inherits the plant value.
-    ctrl_kv_hp: str = ""
-    ctrl_kv_lp: str = ""
-    threshold_mm: float = 0.5
+    # Controller-side orifice copies; None (an empty value) inherits the plant's.
+    ctrl_kv_hp: float | None = _positive(None)
+    ctrl_kv_lp: float | None = _positive(None)
+    threshold_mm: float = _positive(0.5)
     duty: float = 0.18
     window_s: float = 0.1
     pi_kp_pa_per_mm: float = 3e4
@@ -105,34 +121,23 @@ class ReferenceSection:
 
 @dataclass
 class SensorSection:
-    pressure_period_s: float = 5e-3
-    pressure_delay_s: float = 4e-3
-    pressure_quantization_pa: float = 0.0
-    pressure_noise_std_pa: float = 0.0
+    pressure_period_s: float = _positive(5e-3)
+    pressure_delay_s: float = _nonneg(4e-3)
+    pressure_quantization_pa: float = _nonneg(0.0)
+    pressure_noise_std_pa: float = _nonneg(0.0)
     # Vision tip tracker: update rate is an assumption, only the CAN timing
     # (5 ms period + 4 ms delay) is known; quantization from 800 px over an
     # 80 mm field of view.
-    position_period_s: float = 5e-2
-    position_delay_s: float = 9e-3
-    position_quantization_mm: float = 0.1
-    position_noise_std_mm: float = 0.0
+    position_period_s: float = _positive(5e-2)
+    position_delay_s: float = _nonneg(9e-3)
+    position_quantization_mm: float = _nonneg(0.1)
+    position_noise_std_mm: float = _nonneg(0.0)
 
 
 @dataclass
 class HysteresisSection:
-    pressure_max_pa: float = 400e3
-    pressure_step_pa: float = 5e3
-
-
-SECTIONS = {
-    "run": RunSection,
-    "plant": PlantSection,
-    "tip_map": TipMapSection,
-    "controller": ControllerSection,
-    "reference": ReferenceSection,
-    "sensor": SensorSection,
-    "hysteresis": HysteresisSection,
-}
+    pressure_max_pa: float = _positive(400e3)
+    pressure_step_pa: float = _positive(5e3)
 
 
 @dataclass
@@ -212,8 +217,8 @@ class ScenarioConfig:
     def build_model_based_controller(self) -> ModelBasedControllerState:
         c = self.controller
         p = self.plant
-        kv_hp = float(c.ctrl_kv_hp) if c.ctrl_kv_hp else p.kv_hp
-        kv_lp = float(c.ctrl_kv_lp) if c.ctrl_kv_lp else p.kv_lp
+        kv_hp = p.kv_hp if c.ctrl_kv_hp is None else c.ctrl_kv_hp
+        kv_lp = p.kv_lp if c.ctrl_kv_lp is None else c.ctrl_kv_lp
         state = ModelBasedControllerState(
             tube=TubeModelLinear(c_a=p.tube_compliance_pa_per_m3),
             hp_orifice=OrificeModel(k_v=kv_hp, p_tr=p.transition_pressure_pa),
@@ -245,48 +250,47 @@ class ScenarioConfig:
     @property
     def control_domain(self) -> str:
         """Units of the active reference: pressure (Pa) or position (mm)."""
-        return {
-            "none": "none",
-            "pressure_model": "pressure",
-            "switching": "position",
-            "pi_pressure": "position",
-        }[self.controller.kind]
+        return CONTROLLER_DOMAINS[self.controller.kind]
 
 
 # -- parsing ----------------------------------------------------------------
 
+# section -> key -> field, from ScenarioConfig's fields; the one list of keys.
+KEYS: dict[str, dict[str, Field]] = {
+    s.name: {f.name: f for f in fields(s.default_factory)} for s in fields(ScenarioConfig)
+}
 
-def _parse_float_list(text: str) -> tuple:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    return tuple(float(s) for s in items)
 
-
-def _convert(section: str, key: str, text: str, target_type: type, errors: list[str]):
+def _convert(text: str, kind: type):
+    """Parse text as a value of a field of type kind; ValueError says why not."""
+    if kind is str:
+        return text
     try:
-        if target_type is float:
-            value = float(text)
-            finite = math.isfinite(value)
-        elif target_type is tuple:
-            value = _parse_float_list(text)
-            finite = all(map(math.isfinite, value))
-        elif target_type is int:
+        if kind is int:
             return int(text)
+        if kind is tuple:
+            value = tuple(float(s) for s in text.split(",") if s.strip())
+        elif kind == float | None and not text.strip():
+            return None
         else:
-            return text
+            value = float(text)
     except ValueError:
-        errors.append(f"[{section}] {key}: cannot parse {text!r} as {target_type.__name__}")
-        return None
-    if not finite:
-        errors.append(f"[{section}] {key}: {text!r} is not finite")
-        return None
+        name = getattr(kind, "__name__", "float")  # float | None has no name
+        raise ValueError(f"cannot parse {text!r} as {name}") from None
+    if not all(map(math.isfinite, value if kind is tuple else (value,))):
+        raise ValueError(f"{text!r} is not finite")
     return value
 
 
 def read_raw(path: str | Path) -> dict[str, dict[str, str]]:
-    """Read an INI file into plain string sections without interpretation."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read an INI file into plain string sections without interpretation;
+    a `%` is literal. A malformed file raises ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     with open(path) as fh:
-        parser.read_file(fh, source=str(path))
+        try:
+            parser.read_file(fh, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError([str(exc)]) from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
@@ -298,62 +302,44 @@ def _is_multiple(a: float, b: float) -> bool:
 
 
 def cross_validate(cfg: ScenarioConfig) -> list[str]:
-    """Cross-field checks; returns the full fault list."""
+    """Every key's range rule, then the rules that relate keys; returns the
+    full fault list."""
     errors: list[str] = []
-    r, p, c, m, s = cfg.run, cfg.plant, cfg.controller, cfg.tip_map, cfg.sensor
+    for section, keys in KEYS.items():
+        values = getattr(cfg, section)
+        for key, f in keys.items():
+            must_be = f.metadata.get("must_be")
+            value = getattr(values, key)
+            if must_be is None or value is None:
+                continue
+            if not (value > 0 if must_be == "> 0" else value >= 0):
+                errors.append(f"[{section}] {key} must be {must_be}")
 
-    if r.duration_s <= 0.0:
-        errors.append("[run] duration_s must be > 0")
-    if r.dt_s <= 0.0:
-        errors.append("[run] dt_s must be > 0")
-    else:
+    r, p, c, m, s = cfg.run, cfg.plant, cfg.controller, cfg.tip_map, cfg.sensor
+    if r.dt_s > 0.0:
         if not _is_multiple(r.command_quantum_s, r.dt_s):
             errors.append("[run] command_quantum_s must be a whole multiple of dt_s")
         if 0.0 < r.duration_s < r.dt_s:
             errors.append("[run] duration_s must be >= dt_s")
+        for key in ("sample_period_s", "window_s", "pi_period_s"):
+            if not _is_multiple(getattr(c, key), r.command_quantum_s):
+                errors.append(f"[controller] {key} must be a whole multiple of command_quantum_s")
+        # The sensors count their timing in whole steps; a delay of 0 is allowed.
+        for key in ("pressure_period_s", "pressure_delay_s", "position_period_s", "position_delay_s"):
+            value = getattr(s, key)
+            if value > 0.0 and not _is_multiple(value, r.dt_s):
+                errors.append(f"[sensor] {key} must be a whole multiple of dt_s")
 
     if p.tank_pressure_pa >= p.supply_pressure_pa:
         errors.append("[plant] tank_pressure_pa must be < supply_pressure_pa")
-    if p.tank_pressure_pa < 0.0:
-        errors.append("[plant] tank_pressure_pa must be >= 0")
-    for key in ("tube_compliance_pa_per_m3", "kv_hp", "kv_lp", "transition_pressure_pa"):
-        if getattr(p, key) <= 0.0:
-            errors.append(f"[plant] {key} must be > 0")
-    for key in ("valve_delay_s", "valve_movement_time_s", "valve_sticking_time_s"):
-        if getattr(p, key) < 0.0:
-            errors.append(f"[plant] {key} must be >= 0")
-    if p.initial_pressure_pa < 0.0:
-        errors.append("[plant] initial_pressure_pa must be >= 0")
-
     if m.saturation_lo_mm > m.saturation_hi_mm:
         errors.append("[tip_map] saturation_lo_mm must be <= saturation_hi_mm")
-    if m.gain_mm_per_pa < 0.0:
-        errors.append("[tip_map] gain_mm_per_pa must be >= 0")
-    if m.play_width_pa < 0.0:
-        errors.append("[tip_map] play_width_pa must be >= 0")
-
     if c.kind not in CONTROLLER_KINDS:
         errors.append(f"[controller] kind must be one of {CONTROLLER_KINDS}, got {c.kind!r}")
-    if c.tolerance_pa < 0.0:
-        errors.append("[controller] tolerance_pa must be >= 0")
-    if r.dt_s > 0.0 and not _is_multiple(c.sample_period_s, r.command_quantum_s):
-        errors.append("[controller] sample_period_s must be a whole multiple of command_quantum_s")
-    if r.dt_s > 0.0 and not _is_multiple(c.window_s, r.command_quantum_s):
-        errors.append("[controller] window_s must be a whole multiple of command_quantum_s")
-    if r.dt_s > 0.0 and not _is_multiple(c.pi_period_s, r.command_quantum_s):
-        errors.append("[controller] pi_period_s must be a whole multiple of command_quantum_s")
-    if c.threshold_mm <= 0.0:
-        errors.append("[controller] threshold_mm must be > 0")
     if not 0.0 <= c.duty <= 1.0:
         errors.append("[controller] duty must be in [0, 1]")
-    for key in ("ctrl_kv_hp", "ctrl_kv_lp"):
-        text = getattr(c, key)
-        if text:
-            try:
-                if not 0.0 < float(text) < math.inf:
-                    errors.append(f"[controller] {key} must be finite and > 0")
-            except ValueError:
-                errors.append(f"[controller] {key}: cannot parse {text!r} as float")
+    if c.pi_out_lo_pa > c.pi_out_hi_pa:
+        errors.append("[controller] pi_out_lo_pa must be <= pi_out_hi_pa")
 
     if cfg.reference.kind not in REFERENCE_KINDS:
         errors.append(
@@ -365,29 +351,8 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         except ValueError as exc:
             errors.append(f"[reference] {exc}")
 
-    for key in ("pressure_period_s", "position_period_s"):
-        if getattr(s, key) <= 0.0:
-            errors.append(f"[sensor] {key} must be > 0")
-    for key in (
-        "pressure_delay_s",
-        "pressure_quantization_pa",
-        "pressure_noise_std_pa",
-        "position_delay_s",
-        "position_quantization_mm",
-        "position_noise_std_mm",
-    ):
-        if getattr(s, key) < 0.0:
-            errors.append(f"[sensor] {key} must be >= 0")
-    # The sensors count their timing in whole steps; a delay of 0 is allowed.
-    for key in ("pressure_period_s", "pressure_delay_s", "position_period_s", "position_delay_s"):
-        value = getattr(s, key)
-        if r.dt_s > 0.0 and value > 0.0 and not _is_multiple(value, r.dt_s):
-            errors.append(f"[sensor] {key} must be a whole multiple of dt_s")
-
     h = cfg.hysteresis
-    if h.pressure_max_pa <= 0.0 or h.pressure_step_pa <= 0.0:
-        errors.append("[hysteresis] pressure_max_pa and pressure_step_pa must be > 0")
-    elif h.pressure_step_pa > h.pressure_max_pa:
+    if 0.0 < h.pressure_max_pa < h.pressure_step_pa:
         errors.append("[hysteresis] pressure_step_pa must be <= pressure_max_pa")
 
     return errors
@@ -399,18 +364,18 @@ def from_raw(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
     cfg = ScenarioConfig()
 
     for section, keys in raw.items():
-        if section not in SECTIONS:
+        if section not in KEYS:
             errors.append(f"unknown section [{section}]")
             continue
         target = getattr(cfg, section)
-        hints = get_type_hints(SECTIONS[section])
         for key, text in keys.items():
-            if key not in hints:
+            if key not in KEYS[section]:
                 errors.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            value = _convert(section, key, text, hints[key], errors)
-            if value is not None:
-                setattr(target, key, value)
+            try:
+                setattr(target, key, _convert(text, KEYS[section][key].type))
+            except ValueError as exc:
+                errors.append(f"[{section}] {key}: {exc}")
 
     if not errors:
         errors = cross_validate(cfg)
@@ -427,10 +392,8 @@ def apply_overrides(
     out = {s: dict(k) for s, k in raw.items()}
     for dotted, text in overrides.items():
         section, _, key = dotted.partition(".")
-        if section not in SECTIONS or key not in get_type_hints(SECTIONS[section]):
-            valid = ", ".join(
-                f"{s}.{k}" for s, cls in SECTIONS.items() for k in get_type_hints(cls)
-            )
+        if key not in KEYS.get(section, ()):
+            valid = ", ".join(f"{s}.{k}" for s, keys in KEYS.items() for k in keys)
             errors.append(f"unknown parameter {dotted!r}; valid parameters: {valid}")
             continue
         out.setdefault(section, {})[key] = text

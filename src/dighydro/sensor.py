@@ -40,10 +40,15 @@ class SensorModel:
 
 
 def quantize(x: float, q: float) -> float:
-    """Round to the nearest multiple of q, ties away from zero; q = 0 is identity."""
+    """Round to the nearest multiple of q, ties away from zero; q = 0 is identity.
+    So is a q too fine for abs(x) / q to be finite: x is then already a
+    multiple of q as far as a float can tell."""
     if q <= 0.0:
         return x
-    return math.copysign(math.floor(abs(x) / q + 0.5), x) * q
+    steps = abs(x) / q
+    if steps == math.inf:
+        return x
+    return math.copysign(math.floor(steps + 0.5), x) * q
 
 
 def sensor_read(

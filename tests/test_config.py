@@ -127,6 +127,55 @@ def test_zero_sensor_delay_is_accepted():
     assert np.array_equal(trace["sensed_p"][::10], trace["p_tube"][::10])
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"plant.kv_hp": "0"}, "[plant] kv_hp must be > 0"),
+        ({"controller.ctrl_kv_lp": "-1e-8"}, "[controller] ctrl_kv_lp must be > 0"),
+        ({"hysteresis.pressure_step_pa": "0"}, "[hysteresis] pressure_step_pa must be > 0"),
+        # Both of these used to pass load_config and raise ValueError in the run.
+        ({"run.seed": "-1"}, "[run] seed must be >= 0"),
+        (
+            {"controller.kind": "pi_pressure", "controller.pi_out_lo_pa": "6e5"},
+            "[controller] pi_out_lo_pa must be <= pi_out_hi_pa",
+        ),
+    ],
+)
+def test_each_fault_names_its_key_and_rule(overrides, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("step_unloaded_p1"), overrides)
+    assert message in exc.value.errors
+
+
+@pytest.mark.parametrize(
+    "text, located",
+    [
+        ("kv_hp = 1e-8\n", "no section headers"),
+        ("[plant]\nkv_hp = 1e-8\nkv_hp = 2e-8\n", "'kv_hp' in section 'plant' already exists"),
+    ],
+)
+def test_malformed_file_is_a_config_error(tmp_path, text, located):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert any(located in e and str(path) in e for e in exc.value.errors)
+
+
+def test_percent_is_literal(tmp_path):
+    path = tmp_path / "pct.cfg"
+    path.write_text("[run]\nlabel = duty_50%\n")
+    assert load_config(path).run.label == "duty_50%"
+
+
+def test_empty_controller_kv_inherits_the_plant_value():
+    cfg = load_config(scenario_path("chirp_miscalibrated"), {"controller.ctrl_kv_hp": ""})
+    assert cfg.controller.ctrl_kv_hp is None
+    mb = cfg.build_model_based_controller()
+    assert mb.hp_orifice.k_v == cfg.plant.kv_hp
+    assert mb.lp_orifice.k_v == cfg.controller.ctrl_kv_lp != cfg.plant.kv_lp
+
+
 def test_overrides_change_values():
     cfg = load_config(scenario_path("chirp_matched"), {"run.seed": "42", "plant.kv_hp": "2e-8"})
     assert cfg.run.seed == 42

@@ -123,6 +123,19 @@ class TestCli:
         assert "loop_area" in capsys.readouterr().out
         assert (tmp_path / "hysteresis_loop.csv").exists()
 
+    def test_hysteresis_takes_no_seed(self, tmp_path, capsys):
+        # The loop depends only on the tip map and [hysteresis].
+        with pytest.raises(SystemExit) as exc:
+            main(["hysteresis", str(scenario_path("hysteresis")), "--out-dir", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[plant]\nkv_hp = 1e-8\nkv_hp = 2e-8\n")
+        assert main(["validate", str(bad)]) == 2
+        assert "'kv_hp' in section 'plant' already exists" in capsys.readouterr().err
+
     def test_sweep_command(self, tmp_path):
         rc = main(
             [

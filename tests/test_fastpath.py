@@ -8,12 +8,13 @@ edited.
 """
 
 import importlib.util
+import math
 import struct
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dighydro import (
@@ -65,7 +66,7 @@ def overrides(draw) -> dict[str, str]:
         "controller.kind": draw(st.sampled_from(CONTROLLER_KINDS)),
         "run.dt_s": repr(dt),
         "run.duration_s": repr(draw(st.integers(1, 500)) * dt),
-        "run.seed": str(draw(st.integers(0, 2**16))),
+        "run.seed": str(draw(st.integers(-2, 2**16))),
         "plant.valve_delay_s": draw(st.sampled_from(["0", "5e-4", "1e-3"]) | _num(0.0, 4e-3)),
         "plant.valve_movement_time_s": draw(st.sampled_from(["0", "2e-3"]) | _num(0.0, 4e-3)),
         "plant.valve_sticking_time_s": draw(st.sampled_from(["0", "1e-3"]) | _num(0.0, 4e-3)),
@@ -85,11 +86,28 @@ def overrides(draw) -> dict[str, str]:
         o[f"sensor.{sensor}_delay_s"] = _on_grid(draw, dt, 0, 3 * period, (0, 1))
     if draw(st.booleans()):
         o["controller.ctrl_kv_hp"] = draw(_num(5e-9, 2e-8))
+    # PI output limits in either order.
+    if draw(st.booleans()):
+        o["controller.pi_out_lo_pa"] = draw(_num(0.0, 6e5))
+        o["controller.pi_out_hi_pa"] = draw(_num(0.0, 6e5))
     return o
 
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def _quotient_overflows(cfg, trace) -> bool:
+    """Whether a sensor's quantization step is too fine to count some true
+    value of the signal it reads."""
+    s = cfg.sensor
+    return any(
+        q > 0.0 and any(abs(x) / q == math.inf for x in trace[column].tolist())
+        for column, q in (
+            ("p_tube", s.pressure_quantization_pa),
+            ("tip_y", s.position_quantization_mm),
+        )
+    )
 
 
 def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
@@ -102,7 +120,15 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
         fast = run_simulation(cfg)
     except ConfigError:
         return
-    ref = plain.run_simulation(plain.load_config(scenario_path(name), o))
+    try:
+        ref = plain.run_simulation(plain.load_config(scenario_path(name), o))
+    except OverflowError:
+        # The plain path's quantize floors an infinite abs(value) / q when a
+        # quantization step is finer than a float can count; the package
+        # passes such a value through. Nothing else is excused.
+        assert _quotient_overflows(cfg, fast)
+        assert len(fast) == round(cfg.run.duration_s / cfg.run.dt_s)
+        return
     for column in TRACE_COLUMNS:
         assert fast[column].tobytes() == ref[column].tobytes(), column
     assert fast.dv.tobytes() == ref.dv.tobytes()
@@ -112,6 +138,15 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(BUNDLED_SCENARIOS), o=overrides())
+# Quantization steps so fine that abs(value) / q overflows.
+@example(
+    name="chirp_matched",
+    o={"run.duration_s": "0.01", "sensor.pressure_quantization_pa": "2.225073858507e-311"},
+)
+@example(
+    name="chirp_matched",
+    o={"run.duration_s": "0.01", "sensor.position_quantization_mm": "1.1125369292536007e-308"},
+)
 def test_memo_is_bit_identical_to_plain_path(name, o):
     _assert_matches_plain_path(name, o)
 

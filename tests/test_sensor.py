@@ -59,6 +59,17 @@ def test_quantized_sensor_output():
     assert sensor_read(sensor, [10.3], 0) == 10.5
 
 
+@pytest.mark.parametrize("q", [2.225073858507e-311, 1.1125369292536007e-308])
+def test_step_too_fine_to_count_passes_the_value_through(q):
+    # abs(x) / q overflows to inf: x is a multiple of q as far as a float can tell.
+    for x in (200e3, -4.0):
+        assert quantize(x, q) == x
+    assert sensor_read(SensorModel(sample_steps=1, quantization=q), [200e3], 0) == 200e3
+    # Finite quotients round as ever.
+    assert quantize(0.0, q) == 0.0
+    assert quantize(3 * q, q) == 3 * q
+
+
 def test_noise_is_seeded_and_reproducible():
     sensor = SensorModel(sample_steps=1, noise_std=0.1)
     a = sensor_read(sensor, [1.0], 0, np.random.default_rng(7))
