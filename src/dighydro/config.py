@@ -283,14 +283,21 @@ def _convert(text: str, kind: type):
 
 
 def read_raw(path: str | Path) -> dict[str, dict[str, str]]:
-    """Read an INI file into plain string sections without interpretation;
-    a `%` is literal. A malformed file raises ConfigError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    with open(path) as fh:
+    """Read a UTF-8 INI file into plain string sections without
+    interpretation; a `%` is literal and `[DEFAULT]` is an ordinary (so
+    unknown) section. A malformed file raises ConfigError."""
+    # No header line can name a newline, so no section is the default one
+    # whose keys configparser would copy into every other section.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section="\n"
+    )
+    with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh, source=str(path))
         except configparser.Error as exc:
             raise ConfigError([str(exc)]) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not UTF-8 text ({exc})"]) from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 

@@ -7,26 +7,27 @@ the tube volume, and re-evaluates tube pressure and tip position.
 
 Quiescent steps are not recomputed. `plant_step` is a pure function of the
 plant, the state, the held commands and dt, so when a call returns a state
-bitwise equal to its input, that state is a fixed point: every later call on
-it with the same plant and dt and with both valves still at rest returns it
-again, with the same booked volume. `plant_step` remembers the last such
-fixed point and, when it is handed that very state again and `valve_step`
-hands back both valves unchanged (it returns a valve at rest itself), returns
-the state and its volume without evaluating the orifices, the tube or the
-tip map. The rest of the step sees the commands only through the valves, so
-the memo needs no other key. The compare is on the float64 bits of every
-field (`_state_bits`), not on `==`, which equates 0.0 with -0.0 where
-`orifice_flow` keeps the sign through `copysign`, and never matches NaN. A
-clamped fixed point is returned with `clamped` set on every call, as a full
-step would return it. With both valves closed the first step still moves the
-state (it re-canonicalises `p_tube = c_a * v_tube`), so the memo takes over
-one step later.
+equal to its input, that state is a fixed point: every later call on it with
+the same plant and dt and with both valves still at rest returns it again,
+with the same booked volume. A step returns its input state when
+`valve_step` hands back both valves as themselves (it does so only for a
+valve at rest) and every scalar field is unchanged in its float64 bits, all
+packed by one `struct` call: `==` would equate 0.0 with -0.0, where
+`orifice_flow` keeps the sign through `copysign`, and never matches NaN.
+`plant_step` remembers the last such fixed point and, when it is handed that
+very state again with both valves at rest, returns the state and its volume
+without evaluating the orifices, the tube or the tip map. The rest of the
+step sees the commands only through the valves, so the memo needs no other
+key. A clamped fixed point is returned with `clamped` set on every call, as
+a full step would return it. With both valves closed the first step still
+moves the state (it re-canonicalises `p_tube = c_a * v_tube`), so the memo
+takes over one step later.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 from .orifice import OrificeModel, orifice_flow
 from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
@@ -73,16 +74,9 @@ class HydraulicState:
             raise ValueError("tube volume must be >= 0")
 
 
-_DOUBLE = struct.Struct("<d")
-
-
-def _state_bits(obj) -> tuple:
-    """Every field of a state dataclass, floats as their float64 bytes and
-    nested dataclasses unfolded, so equal tuples mean bitwise equal states."""
-    return tuple(
-        _state_bits(v) if is_dataclass(v) else _DOUBLE.pack(v) if isinstance(v, float) else v
-        for v in (getattr(obj, f.name) for f in fields(obj))
-    )
+# The scalar fields of HydraulicState in float64 bits (and the clamp flag),
+# so that equal bytes mean bitwise equal scalars.
+_SCALARS = struct.Struct("<5d?")
 
 
 # (plant, state, dt, dv) of the last call that returned its input state
@@ -160,19 +154,18 @@ def plant_step(
     p_new = tube_pressure(plant.tube, v_new)
     tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 
-    new_state = replace(
-        state,
-        v_tube=v_new,
-        p_tube=p_new,
-        hp_valve=hp_valve,
-        lp_valve=lp_valve,
-        tip_y=tip,
-        play_out=play,
-        v_drawn=state.v_drawn + max(q_hp, 0.0) * dt,
-        clamped=clamped,
-    )
-    # The v_tube compare rejects a moving plant before the full one.
-    if v_new == state.v_tube and _state_bits(new_state) == _state_bits(state):
+    v_drawn = state.v_drawn + max(q_hp, 0.0) * dt
+    # The v_tube compare rejects a moving plant before the full one. A valve
+    # that valve_step hands back as itself is at rest, and bitwise unchanged.
+    if (
+        v_new == state.v_tube
+        and hp_valve is state.hp_valve
+        and lp_valve is state.lp_valve
+        and _SCALARS.pack(v_new, p_new, tip, play, v_drawn, clamped)
+        == _SCALARS.pack(
+            state.v_tube, state.p_tube, state.tip_y, state.play_out, state.v_drawn, state.clamped
+        )
+    ):
         _fixed_point = (plant, state, dt, dv)
         return state, dv
-    return new_state, dv
+    return HydraulicState(v_new, p_new, hp_valve, lp_valve, tip, play, v_drawn, clamped), dv

@@ -3,12 +3,11 @@
 Column order is fixed; floats are written with Python's shortest round-trip
 representation so that reading a trace back reproduces it bit for bit.
 
-Most columns repeat from row to row on quiescent steps, so `repr` runs only
-where a value's float64 bits differ from the row before; a repeated value
-reuses the text already made for it. The bits, not `==`, decide, so 0.0
-and -0.0 keep their own texts. The rows are written in chunks of
-`CHUNK_ROWS`, which bounds the memory the texts take, and the last value
-and text of each column carry over from one chunk to the next.
+Most columns repeat from row to row on quiescent steps, so `repr` runs once
+per run of equal float64 bits, and the rows of a run share its text. The
+bits, not `==`, decide, so 0.0 and -0.0 keep their own texts. The rows are
+written in self-contained chunks of `CHUNK_ROWS`, which bounds the memory
+the texts take.
 
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label, control domain and step size, which the
@@ -36,28 +35,22 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _column_texts(values: np.ndarray, memo: list) -> list[str]:
-    """Text of each value. memo holds [bits, text] of the value written
-    before these and is moved on to the last of them."""
+def _column_texts(values: np.ndarray) -> list[str]:
+    """Text of each value, made once per run of equal bits."""
     bits = values.view(np.uint64)
     changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if int(bits[0]) != memo[0]:
-        memo[:] = int(bits[0]), repr(values[0].item())
-    texts = [memo[1], *map(repr, values[changes].tolist())]
-    memo[:] = int(bits[-1]), texts[-1]
-    runs = np.diff(changes, prepend=0, append=len(values))
-    return np.repeat(np.array(texts, dtype=object), runs).tolist()
+    texts = np.array(list(map(repr, values[np.r_[0, changes]].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(changes, prepend=0, append=len(values))).tolist()
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:
     path = Path(path)
     cols = [np.ascontiguousarray(trace.columns[name], dtype=np.float64) for name in TRACE_COLUMNS]
-    memos = [[None, ""] for _ in cols]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, len(trace), CHUNK_ROWS):
-            texts = [_column_texts(c[start : start + CHUNK_ROWS], m) for c, m in zip(cols, memos)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+            texts = [_column_texts(c[start : start + CHUNK_ROWS]) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

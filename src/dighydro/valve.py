@@ -72,30 +72,17 @@ def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
     rem = dt
 
     while True:
-        if phase == CLOSED:
-            if command:
-                phase, timer, pending = DELAYING, valve.delay, True
-                continue
-            break
-        if phase == OPEN:
-            if not command:
-                phase, timer, pending = DELAYING, valve.delay, False
-                continue
-            break
-        if phase == DELAYING:
-            if command != pending:
+        if phase == CLOSED or phase == OPEN:
+            if command == (phase == OPEN):
+                break
+            phase, timer, pending = DELAYING, valve.delay, bool(command)
+            continue
+        if phase == DELAYING or phase == STUCK:
+            if phase == DELAYING and command != pending:
                 # Command reverted before the armature moved: cancel.
                 phase = OPEN if arm >= 1.0 else CLOSED
                 timer = 0.0
                 continue
-            if timer > rem:
-                timer -= rem
-                break
-            rem -= timer
-            timer = 0.0
-            phase = OPENING if pending else CLOSING
-            continue
-        if phase == STUCK:
             if timer > rem:
                 timer -= rem
                 break
@@ -109,10 +96,6 @@ def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
         if command != moving_open:
             phase, timer = STUCK, valve.sticking_time
             continue
-        if valve.movement_time == 0.0:
-            arm = 1.0 if moving_open else 0.0
-            phase = OPEN if moving_open else CLOSED
-            continue
         target = 1.0 if moving_open else 0.0
         travel = abs(target - arm) * valve.movement_time
         if travel > rem:
@@ -122,6 +105,5 @@ def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
         rem -= travel
         arm = target
         phase = OPEN if moving_open else CLOSED
-        continue
 
     return replace(valve, armature=arm, phase=phase, timer=timer, pending_open=pending)

@@ -162,6 +162,24 @@ def test_malformed_file_is_a_config_error(tmp_path, text, located):
     assert any(located in e and str(path) in e for e in exc.value.errors)
 
 
+def test_default_section_is_an_unknown_section(tmp_path):
+    # configparser would copy [DEFAULT]'s keys into every section, setting
+    # plant.kv_hp here without a word.
+    path = tmp_path / "bad.cfg"
+    path.write_text("[DEFAULT]\nkv_hp = 2e-8\n[plant]\n[run]\nlabel = x\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["unknown section [DEFAULT]"]
+
+
+def test_non_utf8_file_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[run]\nlabel = café\n".encode("latin-1"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert any(str(path) in e and "not UTF-8" in e for e in exc.value.errors)
+
+
 def test_percent_is_literal(tmp_path):
     path = tmp_path / "pct.cfg"
     path.write_text("[run]\nlabel = duty_50%\n")

@@ -136,6 +136,12 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         assert "'kv_hp' in section 'plant' already exists" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("[run]\nlabel = café\n".encode("latin-1"))
+        assert main(["validate", str(bad)]) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
     def test_sweep_command(self, tmp_path):
         rc = main(
             [

@@ -1,4 +1,5 @@
-"""The engine's fast paths against the plain per-step path.
+"""The engine's fast paths, and the valve machine, against the plain
+per-step path.
 
 The plain path is the frozen seed copy of the package under
 perfbench/seedref/, whose plant_step computes every step in full and whose
@@ -11,6 +12,7 @@ import importlib.util
 import math
 import struct
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -20,11 +22,13 @@ from hypothesis import strategies as st
 from dighydro import (
     BUNDLED_SCENARIOS,
     ConfigError,
+    ValveDynamics,
     load_config,
     plant,
     run_simulation,
     scenario_path,
     sim,
+    valve_step,
 )
 from dighydro.config import CONTROLLER_KINDS
 from dighydro.sim import TRACE_COLUMNS
@@ -176,6 +180,26 @@ def test_delay_line_reads_what_the_plain_path_bisects(name, dt, p_period, p_dela
     cfg = load_config(scenario_path(name), o)
     assert cfg.build_position_sensor().delay_steps == y_delay
     _assert_matches_plain_path(name, o)
+
+
+_valve_time = st.just(0.0) | st.floats(0.0, 5e-3)
+
+
+@settings(max_examples=300)
+@given(
+    delay=_valve_time,
+    movement=_valve_time,
+    sticking=_valve_time,
+    dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-6, 5e-3),
+    commands=st.lists(st.booleans(), min_size=1, max_size=60),
+)
+def test_valve_machine_is_bit_identical_to_plain_path(delay, movement, sticking, dt, commands):
+    ours = ValveDynamics(delay, movement, sticking)
+    seeds = plain.ValveDynamics(delay, movement, sticking)
+    for command in commands:
+        ours, seeds = valve_step(ours, command, dt), plain.valve_step(seeds, command, dt)
+        # repr tells 0.0 from -0.0 and True from 1.
+        assert repr(astuple(ours)) == repr(astuple(seeds))
 
 
 def test_clamped_fixed_points_are_memoised_and_counted(monkeypatch):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -62,17 +62,42 @@ def test_fixed_point_is_handed_back_without_recomputing(monkeypatch):
         plant_step(plant, state, False, False, 1e-3)  # another dt
 
 
-def test_a_signed_zero_flip_is_not_a_fixed_point():
-    # With both valves closed v_drawn moves from -0.0 to 0.0: equal under ==,
-    # but not the same state, so it must come back with the new sign.
+SCALAR_FIELDS = [f.name for f in fields(HydraulicState) if f.name not in ("hp_valve", "lp_valve")]
+
+# For each scalar field, a value that the next step of a rested empty tube
+# (every float field 0.0) puts back, leaving the other fields as they are.
+# Most are -0.0, equal to 0.0 under == but not the same state; play_out keeps
+# a -0.0, so it gets the smallest subnormal instead.
+CHANGED_VALUES = {
+    "v_tube": -0.0,
+    "p_tube": -0.0,
+    "tip_y": -0.0,
+    "play_out": 5e-324,
+    "v_drawn": -0.0,
+    "clamped": True,
+}
+
+
+def _scalar_texts(state):
+    # repr tells 0.0 from -0.0, and is exact for every other float.
+    return {name: repr(getattr(state, name)) for name in SCALAR_FIELDS}
+
+
+@pytest.mark.parametrize("name", SCALAR_FIELDS)
+def test_a_change_in_any_scalar_field_is_not_a_fixed_point(name):
+    # A field left out of the fixed-point compare fails here: the changed
+    # state would come back as itself.
     plant = make_plant()
-    state = make_state(plant)
+    rested = make_state(plant, p_tube=0.0)
     for _ in range(2):
-        state, _ = plant_step(plant, state, False, False, 5e-3)
-    flipped = replace(state, v_drawn=-0.0)
-    after, _ = plant_step(plant, flipped, False, False, 5e-3)
-    assert after is not flipped
-    assert math.copysign(1.0, after.v_drawn) == 1.0
+        rested, _ = plant_step(plant, rested, False, False, 5e-3)
+    assert plant_step(plant, rested, False, False, 5e-3)[0] is rested
+    changed = replace(rested, **{name: CHANGED_VALUES[name]})
+    after, _ = plant_step(plant, changed, False, False, 5e-3)
+    assert after is not changed
+    before, now = _scalar_texts(changed), _scalar_texts(after)
+    assert [k for k in SCALAR_FIELDS if before[k] != now[k]] == [name]
+    assert now == _scalar_texts(rested)
 
 
 def test_single_hp_step_transfers_expected_volume():

@@ -102,6 +102,17 @@ def test_repeated_values_keep_their_signed_zero_texts(tmp_path, monkeypatch, chu
         assert back[name].tobytes() == values.tobytes(), name
 
 
+def test_zero_row_trace_is_only_the_header(tmp_path):
+    trace = SimTrace(columns={name: np.empty(0) for name in TRACE_COLUMNS}, label="empty")
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n"
+    back = read_trace(path)
+    assert len(back) == 0 and back.label == "empty"
+    for name in TRACE_COLUMNS:
+        assert back[name].dtype == np.float64 and back[name].shape == (0,), name
+
+
 @pytest.mark.parametrize(
     "name, overrides",
     [("step_unloaded_p1", None), ("chirp_matched", {"run.duration_s": "3"})],
