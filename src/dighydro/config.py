@@ -75,7 +75,6 @@ class PlantSection:
     valve_movement_time_s: float = _nonneg(2e-3)
     valve_sticking_time_s: float = _nonneg(1e-3)
     initial_pressure_pa: float = _nonneg(0.0)
-    supply_droop_pa_per_m3: float = 0.0
 
 
 @dataclass
@@ -168,7 +167,6 @@ class ScenarioConfig:
             ),
             p_supply=p.supply_pressure_pa,
             p_tank=p.tank_pressure_pa,
-            supply_droop=p.supply_droop_pa_per_m3,
         )
 
     def build_initial_state(self, plant: PlantModel) -> HydraulicState:

@@ -157,19 +157,23 @@ def sweep(
 
     Each run writes its own trace/metrics pair, suffixed with the value
     index so files never collide; the summary table keeps the given order.
+    Every value's config is loaded before the first run, so a bad value
+    raises ConfigError before any file is written.
     """
     rows: list[RunMetrics] = []
     base = dict(overrides or {})
+    label = load_config(config_path, base).run.label
+    runs = [
+        {**base, parameter: value, "run.label": f"{label}_{i:03d}"}
+        for i, value in enumerate(values)
+    ]
+    for run_overrides in runs:
+        load_config(config_path, run_overrides)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg0 = load_config(config_path, base)  # validates config and parameter early
-    label = cfg0.run.label
     table_path = out_dir / f"{label}_sweep.csv"
     try:
-        for i, value in enumerate(values):
-            run_overrides = dict(base)
-            run_overrides[parameter] = value
-            run_overrides["run.label"] = f"{label}_{i:03d}"
+        for run_overrides in runs:
             _, _, metrics, _ = run_scenario(config_path, out_dir, run_overrides)
             rows.append(metrics)
         with open(table_path, "w", newline="\n") as fh:

@@ -41,6 +41,8 @@ def _rising_edges(cmd: np.ndarray) -> int:
 def compute_metrics(trace: SimTrace, settle_band: float) -> RunMetrics:
     """Metrics over the whole run; settle_time is the first instant after
     which the error magnitude never leaves the band again."""
+    if not len(trace):
+        return RunMetrics(trace.label, 0.0, 0.0, 0.0, True, 0, 0, 0.0)
     err = tracking_error(trace)
     abs_err = np.abs(err)
     t = trace["t"]
@@ -57,12 +59,12 @@ def compute_metrics(trace: SimTrace, settle_band: float) -> RunMetrics:
     return RunMetrics(
         label=trace.label,
         rms_tracking_error=float(np.sqrt(np.mean(err**2))),
-        max_abs_error=float(np.max(abs_err)) if len(trace) else 0.0,
+        max_abs_error=float(np.max(abs_err)),
         settle_time_s=settle_time,
         settled=settled,
         switch_count_hp=_rising_edges(trace["hp_cmd"]),
         switch_count_lp=_rising_edges(trace["lp_cmd"]),
-        final_steady_error=float(abs_err[-1]) if len(trace) else 0.0,
+        final_steady_error=float(abs_err[-1]),
     )
 
 

@@ -18,10 +18,11 @@ packed by one `struct` call: `==` would equate 0.0 with -0.0, where
 very state again with both valves at rest, returns the state and its volume
 without evaluating the orifices, the tube or the tip map. The rest of the
 step sees the commands only through the valves, so the memo needs no other
-key. A clamped fixed point is returned with `clamped` set on every call, as
-a full step would return it. With both valves closed the first step still
-moves the state (it re-canonicalises `p_tube = c_a * v_tube`), so the memo
-takes over one step later.
+key. With both valves closed the first step still moves the state (it
+re-canonicalises `p_tube = c_a * v_tube`), so the memo takes over one step
+later. A clamped state is never a fixed point: the supply and tank
+pressures are constant and >= 0, so an empty tube has no outflow and the
+step after a clamp does not clamp.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .valve import ValveDynamics, valve_step
 class PlantModel:
     """Time-invariant plant parameters.
 
-    p_supply and p_tank are the absolute supply and tank pressures (Pa).
-    supply_droop (Pa/m^3) lowers the effective supply pressure in proportion
-    to the cumulative volume drawn from it; 0 keeps the supply ideal.
+    p_supply and p_tank are the absolute supply and tank pressures (Pa),
+    both held constant.
     """
 
     tube: TubeModelLinear
@@ -49,7 +49,6 @@ class PlantModel:
     tip_map: TipPositionMap
     p_supply: float
     p_tank: float
-    supply_droop: float = 0.0
 
     def __post_init__(self) -> None:
         if self.p_supply < 0.0 or self.p_tank < 0.0:
@@ -66,7 +65,6 @@ class HydraulicState:
     lp_valve: ValveDynamics
     tip_y: float
     play_out: float = 0.0
-    v_drawn: float = 0.0
     clamped: bool = False
 
     def __post_init__(self) -> None:
@@ -76,7 +74,7 @@ class HydraulicState:
 
 # The scalar fields of HydraulicState in float64 bits (and the clamp flag),
 # so that equal bytes mean bitwise equal scalars.
-_SCALARS = struct.Struct("<5d?")
+_SCALARS = struct.Struct("<4d?")
 
 
 # (plant, state, dt, dv) of the last call that returned its input state
@@ -138,8 +136,7 @@ def plant_step(
     ):
         return state, fixed[3]
 
-    p_sup = plant.p_supply - plant.supply_droop * state.v_drawn
-    q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, p_sup, state.p_tube)
+    q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, plant.p_supply, state.p_tube)
     q_lp = orifice_flow(plant.lp_orifice, lp_valve.armature, plant.p_tank, state.p_tube)
 
     dv = (q_hp + q_lp) * dt
@@ -154,18 +151,15 @@ def plant_step(
     p_new = tube_pressure(plant.tube, v_new)
     tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 
-    v_drawn = state.v_drawn + max(q_hp, 0.0) * dt
     # The v_tube compare rejects a moving plant before the full one. A valve
     # that valve_step hands back as itself is at rest, and bitwise unchanged.
     if (
         v_new == state.v_tube
         and hp_valve is state.hp_valve
         and lp_valve is state.lp_valve
-        and _SCALARS.pack(v_new, p_new, tip, play, v_drawn, clamped)
-        == _SCALARS.pack(
-            state.v_tube, state.p_tube, state.tip_y, state.play_out, state.v_drawn, state.clamped
-        )
+        and _SCALARS.pack(v_new, p_new, tip, play, clamped)
+        == _SCALARS.pack(state.v_tube, state.p_tube, state.tip_y, state.play_out, state.clamped)
     ):
         _fixed_point = (plant, state, dt, dv)
         return state, dv
-    return HydraulicState(v_new, p_new, hp_valve, lp_valve, tip, play, v_drawn, clamped), dv
+    return HydraulicState(v_new, p_new, hp_valve, lp_valve, tip, play, clamped), dv

@@ -26,6 +26,16 @@ def test_unknown_key_is_a_hard_error(tmp_path):
     assert any("kv_ph" in e for e in exc.value.errors)
 
 
+def test_supply_droop_is_an_unknown_key(tmp_path):
+    # The supply pressure is constant; a config written for a drooping
+    # supply is refused rather than run with an ideal one.
+    path = tmp_path / "droop.cfg"
+    path.write_text("[plant]\nsupply_droop_pa_per_m3 = 0\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["unknown key 'supply_droop_pa_per_m3' in section [plant]"]
+
+
 def test_unknown_section_is_a_hard_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[pump]\nflow = 1\n")

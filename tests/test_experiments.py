@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dighydro import (
+    ConfigError,
     TipPositionMap,
     hysteresis_sweep,
     loop_area,
@@ -83,10 +84,16 @@ def test_sweep_produces_one_row_per_value(tmp_path):
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):
-    from dighydro import ConfigError
-
     with pytest.raises(ConfigError):
         sweep(scenario_path("step_unloaded_p1"), "plant.nope", ["1"], tmp_path)
+
+
+def test_sweep_checks_every_value_before_it_writes(tmp_path):
+    out = tmp_path / "out"
+    overrides = {"run.duration_s": "0.05"}
+    with pytest.raises(ConfigError, match=r"\[plant\] kv_hp must be > 0"):
+        sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8", "-1"], out, overrides)
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestCli:
@@ -159,6 +166,24 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "hysteresis_sweep.csv").exists()
+
+    def test_sweep_with_a_bad_value_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "sweep",
+                str(scenario_path("hysteresis")),
+                "--param",
+                "plant.kv_hp",
+                "--values",
+                "1e-8,-1",
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert "[plant] kv_hp must be > 0" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "absent.cfg"), "--out-dir", str(tmp_path)])

@@ -73,7 +73,6 @@ CHANGED_VALUES = {
     "p_tube": -0.0,
     "tip_y": -0.0,
     "play_out": 5e-324,
-    "v_drawn": -0.0,
     "clamped": True,
 }
 
@@ -133,14 +132,17 @@ def test_monotone_filling_with_hp_held_open():
 
 
 def test_draining_clamps_at_empty_and_flags():
-    plant = make_plant()
+    # A large tank orifice and a coarse step overshoot empty once; the step
+    # after a clamp starts from an empty tube, which has no outflow.
+    plant = make_plant(kv=8e-8)
     state = make_state(plant, p_tube=5e3)
-    clamped = False
+    clamps = 0
     for _ in range(2000):
-        state, _ = plant_step(plant, state, False, True, 5e-4)
-        clamped = clamped or state.clamped
+        state, _ = plant_step(plant, state, False, True, 1e-3)
+        clamps += state.clamped
         assert state.v_tube >= 0.0
-    assert state.p_tube == pytest.approx(0.0, abs=1.0)
+    assert clamps == 1
+    assert state.p_tube == 0.0
 
 
 def test_pressure_stays_between_tank_and_supply():
@@ -151,25 +153,6 @@ def test_pressure_stays_between_tank_and_supply():
         lp = (k // 40) % 3 == 1
         state, _ = plant_step(plant, state, hp, lp, 5e-4)
         assert 0.0 - 1e-9 <= state.p_tube <= 600e3 + 1e-9
-
-
-def test_supply_droop_lowers_effective_supply():
-    droopy = PlantModel(
-        tube=TubeModelLinear(c_a=3.3e11),
-        hp_orifice=OrificeModel(k_v=1e-8, p_tr=1e3),
-        lp_orifice=OrificeModel(k_v=1e-8, p_tr=1e3),
-        tip_map=TipPositionMap(gain=2e-5),
-        p_supply=600e3,
-        p_tank=0.0,
-        supply_droop=1e12,
-    )
-    ideal = make_plant()
-    s_droop = make_state(droopy)
-    s_ideal = make_state(ideal)
-    for _ in range(200):
-        s_droop, _ = plant_step(droopy, s_droop, True, False, 5e-4)
-        s_ideal, _ = plant_step(ideal, s_ideal, True, False, 5e-4)
-    assert s_droop.p_tube < s_ideal.p_tube
 
 
 def test_rejects_nonpositive_dt_and_negative_state():

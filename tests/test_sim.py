@@ -18,7 +18,7 @@ from dighydro.sim import TRACE_COLUMNS
 # sha256 over the little-endian float64 bytes of every trace column, in
 # TRACE_COLUMNS order. They lock the engine paths that the two golden
 # scenarios do not reach: the miscalibrated, loaded and hysteretic plants,
-# the PI outer loop, sensor noise and supply droop.
+# the PI outer loop and sensor noise.
 PINNED_TRACES = [
     ("chirp_miscalibrated", (), "6dda22f10e6e3ff233382c7fe45ca15e1d0a88ff34a4f0fe763645e91d9e3684"),
     ("step_unloaded_p2", (), "e4dd187b8db9626d5e42e2b24d169541fda368b0e6e9a788b711b2dd4bf81052"),
@@ -35,9 +35,8 @@ PINNED_TRACES = [
             ("sensor.pressure_noise_std_pa", "500"),
             ("sensor.position_noise_std_mm", "0.02"),
             ("run.seed", "77"),
-            ("plant.supply_droop_pa_per_m3", "1e11"),
         ),
-        "d3c8e54946d8dbe67733062f733ee25eed723ae8d489b7f0280968971b520815",
+        "480cc1777c345b52ed8c617ba1e00b5fbb2892c08d106e78e0138723f07f2764",
     ),
 ]
 
@@ -45,7 +44,7 @@ PINNED_TRACES = [
 @pytest.mark.parametrize(
     "name, overrides, expected",
     PINNED_TRACES,
-    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy_droop"],
+    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy"],
 )
 def test_pinned_trace_hashes(scenario_run, name, overrides, expected):
     _, trace = scenario_run(name, overrides)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dighydro import (
+    RunMetrics,
     SimTrace,
     compute_metrics,
     load_config,
@@ -111,6 +112,7 @@ def test_zero_row_trace_is_only_the_header(tmp_path):
     assert len(back) == 0 and back.label == "empty"
     for name in TRACE_COLUMNS:
         assert back[name].dtype == np.float64 and back[name].shape == (0,), name
+    assert compute_metrics(back, 10e3) == RunMetrics("empty", 0.0, 0.0, 0.0, True, 0, 0, 0.0)
 
 
 @pytest.mark.parametrize(
