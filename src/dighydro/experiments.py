@@ -4,7 +4,9 @@ parameters, and trace out the quasi-static pressure/position hysteresis loop.
 
 from __future__ import annotations
 
-import math
+import csv
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -43,6 +45,30 @@ def settle_band(cfg: ScenarioConfig) -> float:
     return 0.0
 
 
+@contextmanager
+def _removed_on_failure(*paths: Path):
+    """Remove `paths` if the block raises: a failed call leaves no output."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _run_outputs(out_dir: Path, label: str) -> tuple[Path, Path, Path]:
+    """The trace CSV, its sidecar and the metrics JSON of run `label`."""
+    trace_path = out_dir / f"{label}_trace.csv"
+    return trace_path, sidecar_path(trace_path), out_dir / f"{label}_metrics.json"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def run_scenario(
     config_path: str | Path,
     out_dir: str | Path = ".",
@@ -56,17 +82,12 @@ def run_scenario(
     cfg = load_config(config_path, overrides)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / f"{cfg.run.label}_trace.csv"
-    metrics_path = out_dir / f"{cfg.run.label}_metrics.json"
-    try:
+    trace_path, meta_path, metrics_path = _run_outputs(out_dir, cfg.run.label)
+    with _removed_on_failure(trace_path, meta_path, metrics_path):
         trace = run_simulation(cfg)
         metrics = compute_metrics(trace, settle_band(cfg))
         write_trace(trace, trace_path)
         write_metrics(metrics, metrics_path)
-    except BaseException:
-        for path in (trace_path, sidecar_path(trace_path), metrics_path):
-            path.unlink(missing_ok=True)
-        raise
     return trace_path, metrics_path, metrics, trace
 
 
@@ -125,21 +146,15 @@ def hysteresis_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.run.label}_loop.csv"
-    try:
+    with _removed_on_failure(csv_path):
         tmap = cfg.build_plant().tip_map
         grid, tip_up, tip_down = quasi_static_loop(
             tmap, cfg.hysteresis.pressure_max_pa, cfg.hysteresis.pressure_step_pa
         )
         area = loop_area(grid, tip_up, tip_down)
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("branch,pressure_pa,tip_mm\n")
-            for p, y in zip(grid, tip_up):
-                fh.write(f"up,{float(p)!r},{float(y)!r}\n")
-            for p, y in zip(grid[::-1], tip_down[::-1]):
-                fh.write(f"down,{float(p)!r},{float(y)!r}\n")
-    except BaseException:
-        csv_path.unlink(missing_ok=True)
-        raise
+        up = [("up", p, y) for p, y in zip(grid.tolist(), tip_up.tolist())]
+        down = [("down", p, y) for p, y in zip(grid.tolist(), tip_down.tolist())]
+        _write_csv(csv_path, ["branch", "pressure_pa", "tip_mm"], up + down[::-1])
     return csv_path, area, cfg
 
 
@@ -155,12 +170,14 @@ def sweep(
 ) -> tuple[Path, list[RunMetrics]]:
     """Run the scenario once per parameter value and tabulate the metrics.
 
-    Each run writes its own trace/metrics pair, suffixed with the value
-    index so files never collide; the summary table keeps the given order.
+    Each run writes its own trace/metrics pair, labelled `<label>_<index>`
+    so files never collide; the summary table keeps the given order.
     Every value's config is loaded before the first run, so a bad value
-    raises ConfigError before any file is written.
+    raises ConfigError before any file is written; a failed run removes
+    every file the sweep wrote. `run.label` cannot be swept.
     """
-    rows: list[RunMetrics] = []
+    if parameter == "run.label":
+        raise ConfigError(["[run] label cannot be swept: each run is labelled <label>_<index>"])
     base = dict(overrides or {})
     label = load_config(config_path, base).run.label
     runs = [
@@ -172,22 +189,10 @@ def sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"{label}_sweep.csv"
-    try:
-        for run_overrides in runs:
-            _, _, metrics, _ = run_scenario(config_path, out_dir, run_overrides)
-            rows.append(metrics)
-        with open(table_path, "w", newline="\n") as fh:
-            fh.write(
-                "value,label,rms_tracking_error,max_abs_error,settle_time_s,settled,"
-                "switch_count_hp,switch_count_lp,final_steady_error\n"
-            )
-            for value, m in zip(values, rows):
-                fh.write(
-                    f"{value},{m.label},{m.rms_tracking_error!r},{m.max_abs_error!r},"
-                    f"{m.settle_time_s!r},{int(m.settled)},{m.switch_count_hp},"
-                    f"{m.switch_count_lp},{m.final_steady_error!r}\n"
-                )
-    except BaseException:
-        table_path.unlink(missing_ok=True)
-        raise
+    outputs = [path for run in runs for path in _run_outputs(out_dir, run["run.label"])]
+    with _removed_on_failure(table_path, *outputs):
+        rows = [run_scenario(config_path, out_dir, run)[2] for run in runs]
+        header = ["value", *(f.name for f in fields(RunMetrics))]
+        cells = [{**asdict(m), "settled": int(m.settled)}.values() for m in rows]
+        _write_csv(table_path, header, ([value, *c] for value, c in zip(values, cells)))
     return table_path, rows

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from dighydro import (
     play_loop_area,
     quasi_static_loop,
     run_scenario,
+    run_simulation,
     scenario_path,
     sweep,
 )
@@ -94,6 +96,44 @@ def test_sweep_checks_every_value_before_it_writes(tmp_path):
     with pytest.raises(ConfigError, match=r"\[plant\] kv_hp must be > 0"):
         sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8", "-1"], out, overrides)
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_sweep_rejects_run_label(tmp_path):
+    # Each run's <label>_<index> label would replace the swept value.
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"\[run\] label"):
+        sweep(scenario_path("hysteresis"), "run.label", ["a", "b"], out, {"run.duration_s": "0.05"})
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_sweep_table_quotes_values_holding_commas(tmp_path):
+    values = ["0.0, 4.0", "0.0, 2.0"]
+    table_path, _ = sweep(
+        scenario_path("step_unloaded_p1"),
+        "reference.step_levels",
+        values,
+        tmp_path,
+        {"run.duration_s": "0.5"},
+    )
+    with open(table_path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [len(row) for row in table] == [9, 9, 9]
+    assert [row[0] for row in table[1:]] == values
+
+
+def test_failed_sweep_leaves_no_files(tmp_path, monkeypatch):
+    import dighydro.experiments as exp
+
+    def fail_second(cfg):
+        if cfg.plant.kv_hp == 2e-8:
+            raise RuntimeError("mid-sweep failure")
+        return run_simulation(cfg)
+
+    monkeypatch.setattr(exp, "run_simulation", fail_second)
+    overrides = {"run.duration_s": "0.05"}
+    with pytest.raises(RuntimeError, match="mid-sweep"):
+        sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8", "2e-8"], tmp_path, overrides)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -183,6 +223,24 @@ class TestCli:
         )
         assert rc == 2
         assert "[plant] kv_hp must be > 0" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_sweep_over_run_label_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "sweep",
+                str(scenario_path("hysteresis")),
+                "--param",
+                "run.label",
+                "--values",
+                "a,b",
+                "--out-dir",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert "[run] label cannot be swept" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):

@@ -55,9 +55,11 @@ def test_malformed_files_are_rejected(tmp_path):
 
     bad_row = tmp_path / "r.csv"
     header = "t,ref,p_tube,v_tube,tip_y,hp_cmd,lp_cmd,hp_arm,lp_arm,sensed_pos,sensed_p"
-    bad_row.write_text(header + "\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_trace(bad_row)
+    row = ",".join(["0.0"] * 11)
+    for rows in ("1,2,3", ",".join(["0.0"] * 12), f"{row}\n{row},0.0", f"#{row}"):
+        bad_row.write_text(f"{header}\n{rows}\n")
+        with pytest.raises(ValueError):
+            read_trace(bad_row)
 
     bad_sidecar = tmp_path / "s.csv"
     bad_sidecar.write_text(header + "\n" + ",".join(["0.0"] * 11) + "\n")
@@ -128,11 +130,12 @@ def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides):
     assert compute_metrics(back, band) == metrics
 
 
-def test_trace_without_sidecar_reads_as_unlabelled(tmp_path, scenario_run):
+def test_trace_without_sidecar_is_refused(tmp_path, scenario_run):
+    # Without its sidecar a trace would read as control domain "none", whose
+    # tracking error is zero: the metrics would be silently wrong.
     _, trace = scenario_run("hysteresis")
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     traceio.sidecar_path(path).unlink()
-    back = read_trace(path)
-    assert (back.label, back.control_domain, back.dt) == ("", "none", 0.0)
-    assert np.array_equal(back["p_tube"], trace["p_tube"])
+    with pytest.raises(FileNotFoundError):
+        read_trace(path)
