@@ -324,8 +324,10 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
     if r.dt_s > 0.0:
         if not _is_multiple(r.command_quantum_s, r.dt_s):
             errors.append("[run] command_quantum_s must be a whole multiple of dt_s")
-        if 0.0 < r.duration_s < r.dt_s:
-            errors.append("[run] duration_s must be >= dt_s")
+        # Also rejects a duration shorter than one step, which would give an
+        # empty trace; a duration <= 0 already failed its range rule.
+        if r.duration_s > 0.0 and not _is_multiple(r.duration_s, r.dt_s):
+            errors.append("[run] duration_s must be a whole multiple of dt_s")
         for key in ("sample_period_s", "window_s", "pi_period_s"):
             if not _is_multiple(getattr(c, key), r.command_quantum_s):
                 errors.append(f"[controller] {key} must be a whole multiple of command_quantum_s")

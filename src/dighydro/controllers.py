@@ -17,7 +17,7 @@ Three controllers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .orifice import OrificeModel, orifice_flow
 from .tube import TubeModelLinear, tube_pressure
@@ -48,7 +48,15 @@ class ModelBasedControllerState:
 
 def model_based_init(state: ModelBasedControllerState, p0: float) -> ModelBasedControllerState:
     """Seed the estimate with a known initial tube pressure."""
-    return replace(state, est_volume=p0 / state.tube.c_a, est_pressure=p0)
+    return ModelBasedControllerState(
+        state.tube,
+        state.hp_orifice,
+        state.lp_orifice,
+        state.tolerance,
+        state.sample_period,
+        p0 / state.tube.c_a,
+        p0,
+    )
 
 
 def model_based_tick(
@@ -84,7 +92,18 @@ def model_based_tick(
     else:
         choice = min(actions, key=lambda a: abs(p_ref - a[3]))
     hp_cmd, lp_cmd, v_new, p_new = choice
-    return hp_cmd, lp_cmd, replace(state, est_volume=v_new, est_pressure=p_new)
+    # The positional constructor runs __post_init__ as replace() would, at
+    # half its cost.
+    new_state = ModelBasedControllerState(
+        state.tube,
+        state.hp_orifice,
+        state.lp_orifice,
+        state.tolerance,
+        state.sample_period,
+        v_new,
+        p_new,
+    )
+    return hp_cmd, lp_cmd, new_state
 
 
 @dataclass(frozen=True)
@@ -163,4 +182,6 @@ def pi_tick(state: PiControllerState, e_p: float, dt: float) -> tuple[float, PiC
     out = min(max(raw, state.out_lo), state.out_hi)
     if out != raw and state.ki > 0.0:
         integral = (out - state.bias - state.kp * e_p) / state.ki
-    return out, replace(state, integral=integral)
+    return out, PiControllerState(
+        state.kp, state.ki, state.bias, state.out_lo, state.out_hi, integral
+    )

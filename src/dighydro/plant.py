@@ -57,7 +57,14 @@ class PlantModel:
 
 @dataclass(frozen=True)
 class HydraulicState:
-    """Full plant state advanced each step."""
+    """Full plant state advanced each step.
+
+    `@dataclass` keeps this class's own `__init__`, which fills the instance
+    dict in one update instead of one `object.__setattr__` per field, at
+    under half the cost. The class stays frozen: assignment raises
+    `FrozenInstanceError`, and `==`, `fields()` and `replace()` work as for
+    any dataclass (`replace` calls this `__init__`).
+    """
 
     v_tube: float
     p_tube: float
@@ -67,9 +74,27 @@ class HydraulicState:
     play_out: float = 0.0
     clamped: bool = False
 
-    def __post_init__(self) -> None:
-        if self.v_tube < 0.0:
+    def __init__(
+        self,
+        v_tube: float,
+        p_tube: float,
+        hp_valve: ValveDynamics,
+        lp_valve: ValveDynamics,
+        tip_y: float,
+        play_out: float = 0.0,
+        clamped: bool = False,
+    ) -> None:
+        if v_tube < 0.0:
             raise ValueError("tube volume must be >= 0")
+        self.__dict__.update(
+            v_tube=v_tube,
+            p_tube=p_tube,
+            hp_valve=hp_valve,
+            lp_valve=lp_valve,
+            tip_y=tip_y,
+            play_out=play_out,
+            clamped=clamped,
+        )
 
 
 # The scalar fields of HydraulicState in float64 bits (and the clamp flag),

@@ -6,6 +6,10 @@ step k is the true value at the latest sample step no later than
 k - delay_steps, on a sample grid anchored at step 0 with spacing
 sample_steps, rounded to the sensor's quantization step, with optional
 additive Gaussian noise. A read at step k looks only at values[:k + 1].
+
+A read takes its noise as a standard-normal draw `z` from the caller, who
+owns the random stream; the engine draws a whole run's noise at once (see
+`sim`).
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,15 @@ def sensor_read(
     sensor: SensorModel,
     values: Sequence[float],
     k: int,
-    rng: np.random.Generator | None = None,
+    z: float | None = None,
 ) -> float:
     """Sensed value at step k given the true signal per step, values[i] at
-    step i. Reads earlier than the delay return values[0]."""
+    step i. Reads earlier than the delay return values[0]. With noise_std > 0
+    and a standard-normal draw z, noise_std * z is added to the quantized
+    value; otherwise that value is returned as it is."""
     j = k - sensor.delay_steps
     raw = values[j - j % sensor.sample_steps] if j > 0 else values[0]
     out = quantize(raw, sensor.quantization)
-    if sensor.noise_std > 0.0 and rng is not None:
-        out += sensor.noise_std * rng.standard_normal()
+    if sensor.noise_std > 0.0 and z is not None:
+        out += sensor.noise_std * z
     return out

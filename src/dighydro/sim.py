@@ -12,6 +12,12 @@ tip_y column directly; no time column is searched.
 The engine steps the plant on every step. Quiescent steps stay cheap all the
 same: `plant_step` hands a fixed point of the plant straight back without
 recomputing it (see `plant`), bit for bit as a full step would.
+
+Sensor noise for the whole run is drawn up front in one
+`rng.standard_normal(n_steps * m)` call, m being the number of sensors with
+noise_std > 0: per step, the pressure sensor's draw, then the position
+sensor's. That is bit for bit the stream of n_steps * m scalar draws in
+read order. Each read gets its draw as a Python float (`item`).
 """
 
 from __future__ import annotations
@@ -86,7 +92,10 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     ref = cfg.build_reference()
     p_sensor = cfg.build_pressure_sensor()
     pos_sensor = cfg.build_position_sensor()
-    rng = np.random.default_rng(run.seed)
+    p_noisy = p_sensor.noise_std > 0.0
+    pos_noisy = pos_sensor.noise_std > 0.0
+    m = p_noisy + pos_noisy
+    draw = np.random.default_rng(run.seed).standard_normal(n_steps * m).item
 
     kind = cfg.controller.kind
     mb = cfg.build_model_based_controller() if kind in ("pressure_model", "pi_pressure") else None
@@ -126,8 +135,10 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         append_p(state.p_tube)
         append_y(state.tip_y)
 
-        sensed_p = sensor_read(p_sensor, p_col, k, rng)
-        sensed_pos = sensor_read(pos_sensor, y_col, k, rng)
+        sensed_p = sensor_read(p_sensor, p_col, k, draw(k * m) if p_noisy else None)
+        sensed_pos = sensor_read(
+            pos_sensor, y_col, k, draw(k * m + p_noisy) if pos_noisy else None
+        )
         r = reference_eval(ref, t)
 
         # Controllers absent from this run are None; under PI the

@@ -111,6 +111,15 @@ def test_duration_shorter_than_one_step_is_rejected():
     assert len(run_simulation(cfg)) == 1
 
 
+@pytest.mark.parametrize("text", ["0.01074", "1.00025", "7.5e-4"])
+def test_duration_off_the_step_grid_is_rejected(text):
+    # A run takes round(duration_s / dt_s) steps, so 0.01074 s at dt_s = 5e-4
+    # would silently run 21 steps, 0.0105 s.
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("step_unloaded_p1"), {"run.duration_s": text})
+    assert "[run] duration_s must be a whole multiple of dt_s" in exc.value.errors
+
+
 @pytest.mark.parametrize(
     "key, text",
     [

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,28 @@ def test_step_too_fine_to_count_passes_the_value_through(q):
 
 
 def test_noise_is_seeded_and_reproducible():
+    # The caller draws z; the same seed gives the same draw, and the same
+    # draw the same reading.
     sensor = SensorModel(sample_steps=1, noise_std=0.1)
-    a = sensor_read(sensor, [1.0], 0, np.random.default_rng(7))
-    b = sensor_read(sensor, [1.0], 0, np.random.default_rng(7))
+    a = sensor_read(sensor, [1.0], 0, np.random.default_rng(7).standard_normal())
+    b = sensor_read(sensor, [1.0], 0, np.random.default_rng(7).standard_normal())
     assert a == b
     assert a != 1.0
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5])
+@pytest.mark.parametrize("x", [-0.0, 0.0, 10.3, -10.3])
+def test_no_noise_leaves_the_quantized_value_bit_identical(x, q):
+    expected = struct.pack("<d", quantize(x, q))
+    noisy = SensorModel(sample_steps=1, quantization=q, noise_std=0.1)
+    quiet = SensorModel(sample_steps=1, quantization=q)
+    for sensed in (
+        sensor_read(noisy, [x], 0),
+        sensor_read(noisy, [x], 0, None),
+        sensor_read(quiet, [x], 0, 1.7),
+        sensor_read(quiet, [x], 0, 0.0),
+    ):
+        assert struct.pack("<d", sensed) == expected
 
 
 def test_rejects_bad_history_and_params():

@@ -10,6 +10,7 @@ from dighydro import (
     reference_eval,
     run_simulation,
     scenario_path,
+    sensor_read,
     volume_ledger_error,
 )
 from dighydro.metrics import tracking_error
@@ -18,7 +19,7 @@ from dighydro.sim import TRACE_COLUMNS
 # sha256 over the little-endian float64 bytes of every trace column, in
 # TRACE_COLUMNS order. They lock the engine paths that the two golden
 # scenarios do not reach: the miscalibrated, loaded and hysteretic plants,
-# the PI outer loop and sensor noise.
+# the PI outer loop, and sensor noise on both sensors or on position only.
 PINNED_TRACES = [
     ("chirp_miscalibrated", (), "6dda22f10e6e3ff233382c7fe45ca15e1d0a88ff34a4f0fe763645e91d9e3684"),
     ("step_unloaded_p2", (), "e4dd187b8db9626d5e42e2b24d169541fda368b0e6e9a788b711b2dd4bf81052"),
@@ -38,13 +39,19 @@ PINNED_TRACES = [
         ),
         "480cc1777c345b52ed8c617ba1e00b5fbb2892c08d106e78e0138723f07f2764",
     ),
+    # One noisy sensor: each step's single draw goes to the position read.
+    (
+        "step_unloaded_p1",
+        (("sensor.position_noise_std_mm", "0.02"),),
+        "c3dcd9a2318cdfa1dab7a12d4e022e4ea668e3bb06f41d86df9ebf9f8613e9f1",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "name, overrides, expected",
     PINNED_TRACES,
-    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy"],
+    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy", "noisy_position"],
 )
 def test_pinned_trace_hashes(scenario_run, name, overrides, expected):
     _, trace = scenario_run(name, overrides)
@@ -52,6 +59,45 @@ def test_pinned_trace_hashes(scenario_run, name, overrides, expected):
     for column in TRACE_COLUMNS:
         digest.update(np.ascontiguousarray(trace[column], dtype="<f8").tobytes())
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7, 77, 2**31 - 1])
+def test_one_bulk_draw_equals_the_scalar_draws(seed):
+    # The engine draws a run's noise in one call and relies on it being the
+    # stream of scalar draws, bit for bit. A numpy release that breaks this
+    # fails here by name, not only through a trace hash.
+    n = 4000
+    rng = np.random.default_rng(seed)
+    scalars = np.array([rng.standard_normal() for _ in range(n)])
+    assert np.random.default_rng(seed).standard_normal(n).tobytes() == scalars.tobytes()
+
+
+@pytest.mark.parametrize(
+    "p_std, pos_std",
+    [("500", "0.02"), ("0", "0.02"), ("500", "0")],
+    ids=["both", "position", "pressure"],
+)
+def test_engine_noise_is_the_scalar_draws_in_read_order(p_std, pos_std):
+    # Per step the pressure read takes its draw before the position read.
+    overrides = {
+        "run.duration_s": "0.5",
+        "run.seed": "3",
+        "sensor.pressure_noise_std_pa": p_std,
+        "sensor.position_noise_std_mm": pos_std,
+    }
+    cfg = load_config(scenario_path("chirp_matched"), overrides)
+    trace = run_simulation(cfg)
+    rng = np.random.default_rng(3)
+    reads = (
+        (cfg.build_pressure_sensor(), trace["p_tube"], trace["sensed_p"]),
+        (cfg.build_position_sensor(), trace["tip_y"], trace["sensed_pos"]),
+    )
+    for k in range(len(trace)):
+        for sensor, truth, sensed in reads:
+            expected = float(sensor_read(sensor, truth, k))
+            if sensor.noise_std > 0.0:
+                expected += sensor.noise_std * rng.standard_normal()
+            assert sensed[k].tobytes() == np.float64(expected).tobytes(), k
 
 
 def test_identical_configs_give_identical_traces(scenario_run):

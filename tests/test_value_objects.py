@@ -1,0 +1,140 @@
+"""The frozen state objects keep their dataclass contracts.
+
+`valve_step`, `model_based_tick` and `pi_tick` build their results with the
+positional constructor, and `HydraulicState` has its own `__init__`; these
+tests hold them to what `dataclasses.replace` gave before.
+"""
+
+import struct
+from dataclasses import FrozenInstanceError, fields, replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dighydro import (
+    HydraulicState,
+    ModelBasedControllerState,
+    OrificeModel,
+    PiControllerState,
+    TubeModelLinear,
+    ValveDynamics,
+    model_based_init,
+    model_based_tick,
+    pi_tick,
+    valve_step,
+)
+
+# Distinct timing parameters, so that a constructor argument in the wrong
+# place shows as a changed field.
+VALVE = ValveDynamics(delay=1.1e-3, movement_time=2.3e-3, sticking_time=0.7e-3)
+MB = model_based_init(
+    ModelBasedControllerState(
+        tube=TubeModelLinear(c_a=3.3e11),
+        hp_orifice=OrificeModel(k_v=1.1e-8, p_tr=1e3),
+        lp_orifice=OrificeModel(k_v=0.9e-8, p_tr=2e3),
+        tolerance=4e3,
+        sample_period=5e-3,
+    ),
+    200e3,
+)
+PI = PiControllerState(kp=3e4, ki=2e4, bias=1e5, out_lo=0.0, out_hi=6e5, integral=0.25)
+STATE = HydraulicState(1e-6, 3.3e5, VALVE, VALVE, 6.6, 0.5, False)
+
+OBJECTS = {
+    "HydraulicState": STATE,
+    "ValveDynamics": VALVE,
+    "ModelBasedControllerState": MB,
+    "PiControllerState": PI,
+}
+
+INVALID = [
+    (STATE, {"v_tube": -1e-12}),
+    (VALVE, {"delay": -1e-3}),
+    (VALVE, {"armature": 1.5}),
+    (VALVE, {"phase": "ajar"}),
+    (MB, {"tolerance": -1.0}),
+    (MB, {"sample_period": 0.0}),
+    (PI, {"out_lo": 7e5}),
+]
+
+
+def field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def assert_same_fields(got, expected) -> None:
+    """Field for field: floats by their float64 bits, the rest by type and
+    value (the nested models by identity)."""
+    assert type(got) is type(expected)
+    for name, want in field_values(expected).items():
+        have = getattr(got, name)
+        if isinstance(want, float):
+            assert struct.pack("<d", have) == struct.pack("<d", want), name
+        elif isinstance(want, (bool, str)):
+            assert type(have) is type(want) and have == want, name
+        else:
+            assert have is want, name
+
+
+@pytest.mark.parametrize("obj", OBJECTS.values(), ids=OBJECTS.keys())
+def test_assignment_raises_frozen_instance_error(obj):
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
+@pytest.mark.parametrize(
+    "obj, bad", INVALID, ids=[f"{type(o).__name__}-{next(iter(b))}" for o, b in INVALID]
+)
+def test_invalid_values_are_rejected_by_constructor_and_replace(obj, bad):
+    with pytest.raises(ValueError):
+        type(obj)(**{**field_values(obj), **bad})
+    with pytest.raises(ValueError):
+        replace(obj, **bad)
+
+
+def test_hydraulic_state_init_is_the_dataclass_init():
+    kwargs = field_values(STATE)
+    assert list(vars(STATE)) == [f.name for f in fields(HydraulicState)]
+    assert HydraulicState(**kwargs) == STATE
+    assert hash(HydraulicState(**kwargs)) == hash(STATE)
+    assert_same_fields(replace(STATE), STATE)
+    moved = replace(STATE, tip_y=7.0, clamped=True)
+    assert (moved.tip_y, moved.clamped, moved.v_tube) == (7.0, True, STATE.v_tube)
+    short = HydraulicState(1e-6, 3.3e5, VALVE, VALVE, 6.6)
+    assert (short.play_out, short.clamped) == (0.0, False)
+    assert repr(short).startswith("HydraulicState(v_tube=1e-06, p_tube=330000.0,")
+
+
+@given(
+    commands=st.lists(st.booleans(), min_size=1, max_size=40),
+    dt=st.sampled_from([1e-4, 5e-4, 1e-3, 2.5e-3]),
+)
+def test_valve_step_result_equals_the_replace_built_one(commands, dt):
+    valve = VALVE
+    for command in commands:
+        out = valve_step(valve, command, dt)
+        moved = ("armature", "phase", "timer", "pending_open")
+        assert_same_fields(out, replace(valve, **{name: getattr(out, name) for name in moved}))
+        valve = out
+
+
+@given(p_refs=st.lists(st.floats(0.0, 600e3), min_size=1, max_size=20))
+def test_model_based_tick_result_equals_the_replace_built_one(p_refs):
+    state = MB
+    assert_same_fields(state, replace(MB, est_volume=200e3 / 3.3e11, est_pressure=200e3))
+    for p_ref in p_refs:
+        _, _, out = model_based_tick(state, p_ref, 600e3, 0.0)
+        changed = {"est_volume": out.est_volume, "est_pressure": out.est_pressure}
+        assert_same_fields(out, replace(state, **changed))
+        state = out
+
+
+@given(errors=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+def test_pi_tick_result_equals_the_replace_built_one(errors):
+    state = PI
+    for e_p in errors:
+        _, out = pi_tick(state, e_p, 0.05)
+        assert_same_fields(out, replace(state, integral=out.integral))
+        state = out
