@@ -5,13 +5,20 @@ whole command quantum, controller decisions on their own (coarser) grids,
 and the delayed/quantized sensors reading from the recorded true histories.
 A run is strictly single-threaded and deterministic given its config.
 
-Every trace column is recorded as packed doubles. The sensors count their
-period and delay in whole steps, so a read at step k indexes the p_tube or
-tip_y column directly; no time column is searched.
-
-The engine steps the plant on every step. Quiescent steps stay cheap all the
-same: `plant_step` hands a fixed point of the plant straight back without
-recomputing it (see `plant`), bit for bit as a full step would.
+Each column is recorded where it can change, never more often:
+- per step: p_tube, tip_y, ref, sensed_pos, sensed_p and the booked volume
+  dv, as packed doubles; the sensors count their period and delay in whole
+  steps, so a read at step k indexes the p_tube or tip_y column directly and
+  no time column is searched;
+- per command quantum: the hp_cmd/lp_cmd pair, which changes only where a
+  quantum starts;
+- per move: v_tube and both armatures, with the step from which they hold,
+  each time `plant_step` returns a new state object instead of its input.
+  The engine steps the plant on every step, and a quiescent step hands a
+  fixed point of the plant straight back (see `plant`), bit for bit as a
+  full step would.
+After the loop, t is `arange(n_steps) * dt` (bitwise `k * dt`) and the
+quantum and move records are repeated out to one row per step.
 
 Sensor noise for the whole run is drawn up front in one
 `rng.standard_normal(n_steps * m)` call, m being the number of sensors with
@@ -104,23 +111,20 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     p_ref_inner = cfg.plant.initial_pressure_pa
 
     # Packed doubles, 8 bytes a value; the sensors index p_col and y_col by step.
-    rows = {name: array("d") for name in TRACE_COLUMNS}
+    per_step = ("ref", "p_tube", "tip_y", "sensed_pos", "sensed_p")
+    rows = {name: array("d") for name in per_step}
     p_col, y_col = rows["p_tube"], rows["tip_y"]
-    (
-        append_t,
-        append_ref,
-        append_p,
-        append_v,
-        append_y,
-        append_hp_cmd,
-        append_lp_cmd,
-        append_hp_arm,
-        append_lp_arm,
-        append_sensed_pos,
-        append_sensed_p,
-    ) = (rows[name].append for name in TRACE_COLUMNS)
+    append_ref, append_p, append_y, append_sensed_pos, append_sensed_p = (
+        rows[name].append for name in per_step
+    )
     dvs = array("d")
     append_dv = dvs.append
+    cmds = array("d")
+    extend_cmds = cmds.extend
+    # The step from which each state holds, and its v_tube and armatures.
+    move_steps = array("q", [0])
+    moves = array("d", [state.v_tube, state.hp_valve.armature, state.lp_valve.armature])
+    append_move_step, extend_moves = move_steps.append, moves.extend
     clamp_events = 0
 
     hp_cmd = lp_cmd = False
@@ -130,8 +134,6 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     # looked up as module globals on every call, never bound to locals, so
     # that wrapping them on this module sees every call.
     for k in range(n_steps):
-        t = k * dt
-        append_t(t)
         append_p(state.p_tube)
         append_y(state.tip_y)
 
@@ -139,10 +141,11 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         sensed_pos = sensor_read(
             pos_sensor, y_col, k, draw(k * m + p_noisy) if pos_noisy else None
         )
-        r = reference_eval(ref, t)
+        r = reference_eval(ref, k * dt)
 
-        # Controllers absent from this run are None; under PI the
-        # model-based inner loop tracks the PI output instead of r.
+        # The commands change only here. Controllers absent from this run
+        # are None; under PI the model-based inner loop tracks the PI output
+        # instead of r.
         if k % quantum_steps == 0:
             if pi is not None and k % pi_steps == 0:
                 p_ref_inner, pi = pi_tick(pi, r - sensed_pos, cfg.controller.pi_period_s)
@@ -153,23 +156,32 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 if k % window_steps == 0:
                     schedule, sw = switching_tick(sw, r - sensed_pos)
                 hp_cmd, lp_cmd = schedule.pop(0)
+            extend_cmds((hp_cmd, lp_cmd))
 
         append_ref(r)
-        append_v(state.v_tube)
-        append_hp_cmd(hp_cmd)
-        append_lp_cmd(lp_cmd)
-        append_hp_arm(state.hp_valve.armature)
-        append_lp_arm(state.lp_valve.armature)
         append_sensed_pos(sensed_pos)
         append_sensed_p(sensed_p)
 
-        state, dv = plant_step(plant, state, hp_cmd, lp_cmd, dt)
+        moved, dv = plant_step(plant, state, hp_cmd, lp_cmd, dt)
         append_dv(dv)
-        if state.clamped:
-            clamp_events += 1
+        # A fixed point comes back as the input object, and a clamped state
+        # is never a fixed point, so every clamp is a move.
+        if moved is not state:
+            state = moved
+            append_move_step(k + 1)
+            extend_moves((state.v_tube, state.hp_valve.armature, state.lp_valve.armature))
+            if state.clamped:
+                clamp_events += 1
 
+    columns = {name: np.asarray(vals, dtype=float) for name, vals in rows.items()}
+    columns["t"] = np.arange(n_steps) * dt
+    for name, vals in zip(("hp_cmd", "lp_cmd"), np.asarray(cmds).reshape(-1, 2).T):
+        columns[name] = np.repeat(vals, quantum_steps)[:n_steps]
+    held = np.diff(move_steps, append=n_steps)
+    for name, vals in zip(("v_tube", "hp_arm", "lp_arm"), np.asarray(moves).reshape(-1, 3).T):
+        columns[name] = np.repeat(vals, held)
     return SimTrace(
-        columns={name: np.asarray(vals, dtype=float) for name, vals in rows.items()},
+        columns={name: columns[name] for name in TRACE_COLUMNS},
         dv=np.asarray(dvs, dtype=float),
         v_final=state.v_tube,
         clamp_events=clamp_events,

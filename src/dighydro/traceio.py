@@ -3,11 +3,14 @@
 Column order is fixed; floats are written with Python's shortest round-trip
 representation so that reading a trace back reproduces it bit for bit.
 
-Most columns repeat from row to row on quiescent steps, so `repr` runs once
-per run of equal float64 bits, and the rows of a run share its text. The
-bits, not `==`, decide, so 0.0 and -0.0 keep their own texts. The rows are
-written in self-contained chunks of `CHUNK_ROWS`, which bounds the memory
-the texts take.
+The rows are written in self-contained chunks of `CHUNK_ROWS`, which bounds
+the memory the texts take. In each chunk, only the leading columns whose
+bits change on every row (t always, ref on a chirp) are formatted row by
+row. The columns after them repeat from row to row on quiescent steps: each
+gets one `repr` per run of its equal float64 bits, and together they get one
+joined text per run of rows in which none of them changes, which every row
+of that run shares. The bits, not `==`, decide, so 0.0 and -0.0 keep their
+own texts.
 
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label, control domain and step size, which the
@@ -35,22 +38,41 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _column_texts(values: np.ndarray) -> list[str]:
-    """Text of each value, made once per run of equal bits."""
-    bits = values.view(np.uint64)
-    changes = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    texts = np.array(list(map(repr, values[np.r_[0, changes]].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(changes, prepend=0, append=len(values))).tolist()
+def _rows(cols: list[np.ndarray]) -> list[str]:
+    """Text of each row of equal-length columns, at least one row long."""
+    n = len(cols[0])
+    changed = [c.view(np.uint64)[1:] != c.view(np.uint64)[:-1] for c in cols]
+    lead = next((i for i, ch in enumerate(changed) if not ch.all()), len(cols))
+    dense = [map(repr, c.tolist()) for c in cols[:lead]]
+    if lead == len(cols):
+        return list(map(",".join, zip(*dense)))
+    # The tail's text changes only where one of its columns does.
+    starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(changed[lead:])) + 1]
+    tail_texts = []
+    for c, ch in zip(cols[lead:], changed[lead:]):
+        texts = np.array(list(map(repr, c[np.r_[0, np.flatnonzero(ch) + 1]].tolist())), dtype=object)
+        tail_texts.append(texts[np.r_[0, np.cumsum(ch)][starts]].tolist())
+    tails = np.array(list(map(",".join, zip(*tail_texts))), dtype=object)
+    tails = np.repeat(tails, np.diff(starts, append=n)).tolist()
+    return list(map(",".join, zip(*dense, tails))) if lead else tails
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:
+    """Write the trace CSV and its sidecar. A missing column, or one with
+    fewer rows than another, is a ValueError, and nothing is written."""
     path = Path(path)
+    for name in TRACE_COLUMNS:
+        if name not in trace.columns:
+            raise ValueError(f"trace lacks column {name!r}")
     cols = [np.ascontiguousarray(trace.columns[name], dtype=np.float64) for name in TRACE_COLUMNS]
+    n = max(map(len, cols))
+    for name, c in zip(TRACE_COLUMNS, cols):
+        if len(c) != n:
+            raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for start in range(0, len(trace), CHUNK_ROWS):
-            texts = [_column_texts(c[start : start + CHUNK_ROWS]) for c in cols]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        for start in range(0, n, CHUNK_ROWS):
+            fh.write("\n".join(_rows([c[start : start + CHUNK_ROWS] for c in cols])) + "\n")
     meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

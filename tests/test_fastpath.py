@@ -146,6 +146,15 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
     name="chirp_matched",
     o={"run.duration_s": "0.01", "sensor.position_quantization_mm": "1.1125369292536007e-308"},
 )
+# One step: the initial state fills the whole v_tube and armature columns.
+@example(name="chirp_matched", o={"run.duration_s": "0.0005"})
+# 11 steps at 5e-4 s end one step into the second 10-step command quantum;
+# from an empty tube every step moves the plant.
+@example(name="chirp_matched", o={"run.duration_s": "0.0055", "plant.initial_pressure_pa": "0"})
+# The last step moves the plant, so the last move holds from step n_steps
+# on and fills no row; in the one-step case it is the only step.
+@example(name="chirp_matched", o={"run.duration_s": "0.05", "plant.initial_pressure_pa": "0"})
+@example(name="chirp_matched", o={"run.duration_s": "0.0005", "plant.initial_pressure_pa": "123456.7"})
 def test_memo_is_bit_identical_to_plain_path(name, o):
     _assert_matches_plain_path(name, o)
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dighydro import (
     RunMetrics,
@@ -40,11 +44,87 @@ def test_writer_matches_plain_row_by_row_repr(tmp_path, monkeypatch, scenario_ru
     monkeypatch.setattr(traceio, "CHUNK_ROWS", chunk_rows)
     noisy = (("sensor.pressure_noise_std_pa", "500"), ("run.duration_s", "3"))
     _, trace = scenario_run("chirp_matched", noisy)
-    path = tmp_path / "trace.csv"
+    _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
+
+
+def _assert_writes_plain_repr(trace: SimTrace, path) -> None:
     write_trace(trace, path)
     rows = zip(*(trace[name].tolist() for name in TRACE_COLUMNS))
     plain = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n" + plain
+
+
+# Signed zeros, subnormals, the smallest normal, and the non-finite values.
+FINITE_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308)
+_value = st.sampled_from(FINITE_SPECIAL + (math.nan, -math.nan, math.inf, -math.inf)) | st.floats()
+
+
+def _dense(start: float, step: float | None, n: int) -> list[float]:
+    """n values from start, each with new bits: start + k * step, or without
+    a step each the next float up, which runs through the subnormals too."""
+    if step is not None:
+        return [start + k * step for k in range(n)]
+    col = [start]
+    while len(col) < n:
+        col.append(math.nextafter(col[-1], math.inf))
+    return col[:n]
+
+
+@st.composite
+def _columns(draw) -> list[list[float]]:
+    """Eleven equal-length columns, each dense, constant, dense up to some
+    row and constant after it, or drawn freely; sometimes every column
+    dense, or every column constant."""
+    n = draw(st.integers(0, 40))
+    every = draw(st.sampled_from(("dense", "constant", None)))
+    cols = []
+    for _ in TRACE_COLUMNS:
+        kind = every or draw(st.sampled_from(("dense", "constant", "stops", "free")))
+        if kind == "free":
+            cols.append(draw(st.lists(_value, min_size=n, max_size=n)))
+            continue
+        start = draw(st.sampled_from(FINITE_SPECIAL) | st.floats(-1e3, 1e3))
+        if kind == "constant":
+            cols.append([start] * n)
+            continue
+        col = _dense(start, draw(st.sampled_from((None, 5e-4, 1.0))), n)
+        if kind == "stops":
+            stop = draw(st.integers(1, max(n, 1)))
+            col = col[:stop] + col[stop - 1 : stop] * (n - stop)
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), cols=_columns())
+# A dense leading t that stops changing mid-chunk, ahead of dense and
+# constant columns.
+@example(
+    chunk_rows=7,
+    cols=[[0.0, 0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3, 0.8]]
+    + [[k * 1.5 for k in range(9)]] * 2
+    + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
+    + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, -math.inf, 0.0]] * 4,
+)
+def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols):
+    trace = SimTrace(columns={name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
+        _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("short", ["sensed_p", "t"])
+def test_columns_of_unequal_length_are_refused(tmp_path, short):
+    # zip would silently stop at the shortest column.
+    columns = {name: np.arange(5.0) for name in TRACE_COLUMNS}
+    columns[short] = columns[short][:3]
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=f"'{short}' has 3 rows, not 5"):
+        write_trace(SimTrace(columns=columns), path)
+    del columns[short]
+    with pytest.raises(ValueError, match=f"lacks column '{short}'"):
+        write_trace(SimTrace(columns=columns), path)
+    assert not path.exists()
 
 
 def test_malformed_files_are_rejected(tmp_path):
