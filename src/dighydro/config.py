@@ -339,6 +339,15 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
 
     if p.tank_pressure_pa >= p.supply_pressure_pa:
         errors.append("[plant] tank_pressure_pa must be < supply_pressure_pa")
+    # The tube and the controller's estimate start from this volume; a
+    # compliance fine enough to overflow it stops the run at its first step.
+    if p.tube_compliance_pa_per_m3 > 0.0 and not math.isfinite(
+        p.initial_pressure_pa / p.tube_compliance_pa_per_m3
+    ):
+        errors.append(
+            "[plant] initial_pressure_pa / tube_compliance_pa_per_m3 must be finite"
+            " (the initial tube volume)"
+        )
     if m.saturation_lo_mm > m.saturation_hi_mm:
         errors.append("[tip_map] saturation_lo_mm must be <= saturation_hi_mm")
     if c.kind not in CONTROLLER_KINDS:

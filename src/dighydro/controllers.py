@@ -2,12 +2,13 @@
 
 Three controllers:
 
-* model-based sensorless pressure control: per tick, predict the tube
-  pressure after one sample period for each feasible valve combination
-  (hold, pressurize, depressurize) using the controller's own orifice and
-  tube models, pick the combination whose predicted pressure is closest to
-  the reference, and advance the internal volume/pressure estimate with the
-  chosen prediction. No measurement enters the loop.
+* model-based sensorless pressure control: per tick, hold while the
+  estimate is within the tolerance band of the reference; otherwise predict
+  the tube pressure after one sample period for each feasible valve
+  combination (hold, pressurize, depressurize) using the controller's own
+  orifice and tube models, pick the combination whose predicted pressure is
+  closest to the reference, and advance the internal volume/pressure
+  estimate with the chosen prediction. No measurement enters the loop.
 * switching position control: thresholded three-level switch on the
   position error, emitting a duty-modulated valve pulse train per window.
 * PI outer loop (experimental): turns a position error into a pressure
@@ -67,17 +68,26 @@ def model_based_tick(
 ) -> tuple[bool, bool, ModelBasedControllerState]:
     """One decision tick; returns (hp_cmd, lp_cmd, updated state).
 
-    Each action's (volume, pressure) after one sample period is predicted
-    with the pressures held constant over the period and the volume clamped
-    at zero (the tube cannot be pumped below empty). Holding wins outright
-    whenever its error is within the tolerance band, to avoid needless valve
-    switching. Otherwise the argmin over the three predicted errors decides,
-    with exact ties broken hold-first, then pressurize. (ON, ON) is never
-    emitted.
+    Holding wins outright whenever the estimate is within the tolerance
+    band of the reference, to avoid needless valve switching: the tick then
+    predicts nothing and returns its input state, since holding leaves the
+    estimate as it is. Outside the band, each action's (volume, pressure)
+    after one sample period is predicted with the pressures held constant
+    over the period and the volume clamped at zero (the tube cannot be
+    pumped below empty), and the argmin over the three predicted errors
+    decides, with exact ties broken hold-first, then pressurize. (ON, ON) is
+    never emitted. Non-finite supply, tank or estimated pressures raise
+    ValueError on every tick, held or not.
     """
+    p = state.est_pressure
+    if not (math.isfinite(p_supply) and math.isfinite(p_tank) and math.isfinite(p)):
+        raise ValueError(
+            f"pressures must be finite, got p_supply={p_supply}, p_tank={p_tank}, est_pressure={p}"
+        )
+    if abs(p_ref - p) <= state.tolerance:
+        return False, False, state
     T = state.sample_period
     v = state.est_volume
-    p = state.est_pressure
     v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
     v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
     # (hp_cmd, lp_cmd, volume, pressure) in tie-break order; min keeps the
@@ -87,11 +97,7 @@ def model_based_tick(
         (True, False, v_hp, tube_pressure(state.tube, v_hp)),
         (False, True, v_lp, tube_pressure(state.tube, v_lp)),
     )
-    if abs(p_ref - p) <= state.tolerance:
-        choice = actions[0]
-    else:
-        choice = min(actions, key=lambda a: abs(p_ref - a[3]))
-    hp_cmd, lp_cmd, v_new, p_new = choice
+    hp_cmd, lp_cmd, v_new, p_new = min(actions, key=lambda a: abs(p_ref - a[3]))
     # The positional constructor runs __post_init__ as replace() would, at
     # half its cost.
     new_state = ModelBasedControllerState(

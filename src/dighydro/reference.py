@@ -65,10 +65,10 @@ def reference_eval(ref: ReferenceSignal, t: float) -> float:
     """Reference value at time t >= 0."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if ref.kind == CONSTANT:
-        return ref.value
+    if ref.kind == CHIRP_SINE:
+        mid = 0.5 * (ref.lo + ref.hi)
+        amp = 0.5 * (ref.hi - ref.lo)
+        return mid + amp * math.sin(chirp_phase(ref, t))
     if ref.kind == STEP_SEQUENCE:
         return ref.levels[bisect_right(ref.times, t) - 1]
-    mid = 0.5 * (ref.lo + ref.hi)
-    amp = 0.5 * (ref.hi - ref.lo)
-    return mid + amp * math.sin(chirp_phase(ref, t))
+    return ref.value

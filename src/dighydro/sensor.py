@@ -37,7 +37,9 @@ class SensorModel:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.sample_steps < 1:
             raise ValueError("sample_steps must be >= 1")
-        if self.delay_steps < 0 or self.quantization < 0.0 or self.noise_std < 0.0:
+        # Written so that NaN fails too: a NaN step or spread would skip
+        # rounding or noise without a word.
+        if not (self.delay_steps >= 0 and self.quantization >= 0.0 and self.noise_std >= 0.0):
             raise ValueError("delay_steps, quantization, noise_std must be >= 0")
 
 
@@ -64,8 +66,9 @@ def sensor_read(
     and a standard-normal draw z, noise_std * z is added to the quantized
     value; otherwise that value is returned as it is."""
     j = k - sensor.delay_steps
-    raw = values[j - j % sensor.sample_steps] if j > 0 else values[0]
-    out = quantize(raw, sensor.quantization)
+    out = values[j - j % sensor.sample_steps] if j > 0 else values[0]
+    if sensor.quantization > 0.0:
+        out = quantize(out, sensor.quantization)
     if sensor.noise_std > 0.0 and z is not None:
         out += sensor.noise_std * z
     return out

@@ -158,12 +158,28 @@ def test_zero_sensor_delay_is_accepted():
             {"controller.kind": "pi_pressure", "controller.pi_out_lo_pa": "6e5"},
             "[controller] pi_out_lo_pa must be <= pi_out_hi_pa",
         ),
+        # A positive subnormal compliance overflows the initial volume to inf;
+        # this too used to pass load_config and raise ValueError in the run.
+        (
+            {"plant.tube_compliance_pa_per_m3": "1e-320", "plant.initial_pressure_pa": "2e5"},
+            "[plant] initial_pressure_pa / tube_compliance_pa_per_m3 must be finite"
+            " (the initial tube volume)",
+        ),
     ],
 )
 def test_each_fault_names_its_key_and_rule(overrides, message):
     with pytest.raises(ConfigError) as exc:
         load_config(scenario_path("step_unloaded_p1"), overrides)
     assert message in exc.value.errors
+
+
+@pytest.mark.parametrize("compliance", ["1e-320", "1e-300", "1e300"])
+def test_extreme_compliance_from_an_empty_tube_runs(compliance):
+    # Only the overflowing initial volume is refused: from an empty tube the
+    # same compliance runs.
+    o = {"plant.tube_compliance_pa_per_m3": compliance, "run.duration_s": "0.05"}
+    trace = run_simulation(load_config(scenario_path("step_unloaded_p1"), o))
+    assert np.isfinite(trace["v_tube"]).all()
 
 
 @pytest.mark.parametrize(

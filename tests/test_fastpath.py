@@ -1,5 +1,5 @@
-"""The engine's fast paths, and the valve machine, against the plain
-per-step path.
+"""The engine's fast paths, the valve machine and the per-step leaf
+functions against the plain per-step path.
 
 The plain path is the frozen seed copy of the package under
 perfbench/seedref/, whose plant_step computes every step in full and whose
@@ -19,11 +19,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dighydro
 from dighydro import (
     BUNDLED_SCENARIOS,
     ConfigError,
+    ReferenceSignal,
     ValveDynamics,
     load_config,
+    model_based_tick,
+    reference_eval,
     run_simulation,
     scenario_path,
     valve_step,
@@ -204,6 +208,116 @@ def test_valve_machine_is_bit_identical_to_plain_path(delay, movement, sticking,
         ours, seeds = valve_step(ours, command, dt), plain.valve_step(seeds, command, dt)
         # repr tells 0.0 from -0.0 and True from 1.
         assert repr(astuple(ours)) == repr(astuple(seeds))
+
+
+_pressure = st.floats(0.0, 6.5e5)
+_non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _model_based(pkg, kv_hp: float, kv_lp: float, tolerance: float, p0: float):
+    """The same controller, built from the package `pkg`."""
+    state = pkg.ModelBasedControllerState(
+        pkg.TubeModelLinear(3.3e11),
+        pkg.OrificeModel(kv_hp, 1e3),
+        pkg.OrificeModel(kv_lp, 1e3),
+        tolerance,
+        5e-3,
+    )
+    return pkg.model_based_init(state, p0)
+
+
+@settings(max_examples=300)
+@given(
+    p0=_pressure,
+    p_refs=st.lists(_pressure | _non_finite, min_size=1, max_size=20),
+    tolerance=st.sampled_from([0.0, 10e3, math.inf]) | st.floats(0.0, 5e4),
+    kv_hp=st.floats(1e-9, 1e-7),
+    kv_lp=st.floats(1e-9, 1e-7),
+    p_supply=st.floats(1e5, 1e6),
+    p_tank=st.just(0.0) | st.floats(0.0, 1e5),
+)
+# Both edges of the band, |p_ref - p| == tolerance, hold; then a tick outside it.
+@example(
+    p0=200e3, p_refs=[210e3, 190e3, 260e3, 200e3], tolerance=10e3,
+    kv_hp=1e-8, kv_lp=1e-8, p_supply=600e3, p_tank=0.0,
+)
+# Without a band only an exact match holds.
+@example(
+    p0=200e3, p_refs=[200e3, 250e3, 250e3, 0.0, 0.0], tolerance=0.0,
+    kv_hp=1e-8, kv_lp=2e-8, p_supply=600e3, p_tank=0.0,
+)
+def test_model_based_tick_is_bit_identical_to_plain_path(
+    p0, p_refs, tolerance, kv_hp, kv_lp, p_supply, p_tank
+):
+    ours = _model_based(dighydro, kv_hp, kv_lp, tolerance, p0)
+    seeds = _model_based(plain, kv_hp, kv_lp, tolerance, p0)
+    for p_ref in p_refs:
+        held = abs(p_ref - ours.est_pressure) <= tolerance
+        before = ours
+        *cmds, ours = model_based_tick(ours, p_ref, p_supply, p_tank)
+        hp, lp, seeds = plain.model_based_tick(seeds, p_ref, p_supply, p_tank)
+        # repr tells True from 1.
+        assert repr(cmds) == repr([hp, lp])
+        assert _bits(ours.est_volume) == _bits(seeds.est_volume)
+        assert _bits(ours.est_pressure) == _bits(seeds.est_pressure)
+        if held:
+            assert ours is before
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["p0", "p_supply", "p_tank"])
+@pytest.mark.parametrize("tolerance", [10e3, math.inf])
+def test_model_based_tick_raises_on_non_finite_pressures_as_plain_path(bad, where, tolerance):
+    # The plain path predicts on every tick, so it raises on any non-finite
+    # pressure; the package must too, inside the band as outside it.
+    p = {"p0": 200e3, "p_supply": 600e3, "p_tank": 0.0, where: bad}
+    for pkg in (dighydro, plain):
+        state = _model_based(pkg, 1e-8, 1e-8, tolerance, p["p0"])
+        with pytest.raises(ValueError):
+            pkg.model_based_tick(state, 200e3, p["p_supply"], p["p_tank"])
+
+
+@st.composite
+def signals(draw) -> tuple[dict, float]:
+    """Fields of a reference signal of any kind, and a time to evaluate it
+    at: for a chirp, before, at or after the end of its sweep."""
+    kind = draw(st.sampled_from(["chirp_sine", "step_sequence", "constant"]))
+    if kind == "constant":
+        return {"kind": kind, "value": draw(st.floats())}, draw(st.floats(0.0, 1e3))
+    if kind == "step_sequence":
+        times = [0.0] + sorted(draw(st.lists(st.floats(0.0, 10.0), max_size=6)))
+        levels = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(times), max_size=len(times)))
+        t = draw(st.sampled_from(times) | st.floats(0.0, 20.0))
+        return {"kind": kind, "times": tuple(times), "levels": tuple(levels)}, t
+    T = draw(st.floats(1e-3, 100.0))
+    lo = draw(st.floats(-1e6, 1e6))
+    fields = {
+        "kind": kind,
+        "f0": draw(st.floats(0.0, 10.0)),
+        "f1": draw(st.floats(0.0, 10.0)),
+        "lo": lo,
+        "hi": lo + draw(st.floats(1e-3, 1e6)),
+        "sweep_time": T,
+    }
+    return fields, draw(st.just(T) | st.floats(0.0, T) | st.floats(T, 10.0 * T))
+
+
+_CHIRP = {"kind": "chirp_sine", "f0": 0.1, "f1": 2.0, "lo": 150e3, "hi": 250e3, "sweep_time": 30.0}
+
+
+@settings(max_examples=300)
+@given(sig=signals())
+# A chirp while sweeping, at the end of its sweep, and holding f1 after it.
+@example(sig=(_CHIRP, 12.345))
+@example(sig=(_CHIRP, 30.0))
+@example(sig=(_CHIRP, 31.7))
+# Right-continuous steps, two of them at one time.
+@example(sig=({"kind": "step_sequence", "times": (0.0, 1.0, 1.0), "levels": (0.0, 4.0, -2.0)}, 1.0))
+@example(sig=({"kind": "constant", "value": -0.0}, 0.0))
+def test_reference_eval_is_bit_identical_to_plain_path(sig):
+    fields, t = sig
+    ours = reference_eval(ReferenceSignal(**fields), t)
+    assert _bits(ours) == _bits(plain.reference_eval(plain.ReferenceSignal(**fields), t))
 
 
 def test_draining_run_clamps_as_the_plain_path_does():

@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dighydro import SensorModel, quantize, sensor_read
 
@@ -97,6 +100,30 @@ def test_no_noise_leaves_the_quantized_value_bit_identical(x, q):
         assert struct.pack("<d", sensed) == expected
 
 
+@given(
+    x=st.floats(allow_nan=False),
+    q=st.sampled_from([0.0, 0.5, 1e3, 5e-324]) | st.floats(0.0, 1e4),
+    noise_std=st.sampled_from([0.0, 500.0]) | st.floats(0.0, 1e3),
+    z=st.none() | st.floats(-6.0, 6.0),
+)
+# Signed zeros, with and without a step.
+@example(x=-0.0, q=0.0, noise_std=0.0, z=None)
+@example(x=-0.0, q=1e3, noise_std=0.0, z=None)
+@example(x=0.0, q=1e3, noise_std=0.0, z=None)
+# Ties round away from zero.
+@example(x=2.5e3, q=1e3, noise_std=0.0, z=None)
+@example(x=-10.25, q=0.5, noise_std=500.0, z=-1.25)
+# abs(x) / q overflows, so x passes through.
+@example(x=200e3, q=2.225073858507e-311, noise_std=500.0, z=0.5)
+@example(x=-1e300, q=5e-324, noise_std=0.0, z=None)
+def test_read_is_quantize_plus_noise(x, q, noise_std, z):
+    expected = quantize(x, q)
+    if noise_std > 0.0 and z is not None:
+        expected += noise_std * z
+    sensor = SensorModel(sample_steps=1, quantization=q, noise_std=noise_std)
+    assert struct.pack("<d", sensor_read(sensor, [x], 0, z)) == struct.pack("<d", expected)
+
+
 def test_rejects_bad_history_and_params():
     sensor = SensorModel(sample_steps=1)
     with pytest.raises(IndexError):
@@ -112,6 +139,9 @@ def test_rejects_bad_history_and_params():
         {"sample_steps": True},
         {"sample_steps": 1, "quantization": -0.1},
         {"sample_steps": 1, "noise_std": -0.1},
+        # NaN would skip rounding or noise without a word.
+        {"sample_steps": 1, "quantization": math.nan},
+        {"sample_steps": 1, "noise_std": math.nan},
     ):
         with pytest.raises(ValueError):
             SensorModel(**bad)

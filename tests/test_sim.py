@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dighydro
 from dighydro import (
     load_config,
     model_based_tick,
@@ -98,6 +103,26 @@ def test_engine_noise_is_the_scalar_draws_in_read_order(p_std, pos_std):
             if sensor.noise_std > 0.0:
                 expected += sensor.noise_std * rng.standard_normal()
             assert sensed[k].tobytes() == np.float64(expected).tobytes(), k
+
+
+@pytest.mark.parametrize("p_std, imported", [("0", False), ("500", True)])
+def test_only_a_noisy_run_imports_numpy_random(tmp_path, p_std, imported):
+    # numpy.random costs a process several MiB; a run without sensor noise
+    # builds no generator and never imports it. A fresh interpreter, since
+    # this one has imported it already.
+    code = (
+        "import sys\n"
+        "from dighydro import run_scenario, scenario_path\n"
+        "o = {'run.duration_s': '0.05', 'sensor.pressure_noise_std_pa': sys.argv[2]}\n"
+        "run_scenario(scenario_path('chirp_matched'), sys.argv[1], o)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dighydro.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), p_std],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == str(imported)
 
 
 def test_identical_configs_give_identical_traces(scenario_run):
