@@ -15,7 +15,6 @@ from .controllers import (
     model_based_init,
     model_based_tick,
     pi_tick,
-    switching_sign,
     switching_tick,
 )
 from .experiments import (
@@ -77,7 +76,6 @@ __all__ = [
     "scenario_path",
     "sensor_read",
     "sweep",
-    "switching_sign",
     "switching_tick",
     "tip_position",
     "tube_pressure",

@@ -227,13 +227,7 @@ class ScenarioConfig:
         return model_based_init(state, p.initial_pressure_pa)
 
     def build_switching_controller(self) -> SwitchingControllerState:
-        c = self.controller
-        return SwitchingControllerState(
-            threshold=c.threshold_mm,
-            sample_period=c.window_s,
-            duty=c.duty,
-            command_quantum=self.run.command_quantum_s,
-        )
+        return SwitchingControllerState(threshold=self.controller.threshold_mm)
 
     def build_pi_controller(self) -> PiControllerState:
         c = self.controller

@@ -10,7 +10,7 @@ Three controllers:
   closest to the reference, and advance the internal volume/pressure
   estimate with the chosen prediction. No measurement enters the loop.
 * switching position control: thresholded three-level switch on the
-  position error, emitting a duty-modulated valve pulse train per window.
+  position error, choosing once per window which valve the engine pulses.
 * PI outer loop (experimental): turns a position error into a pressure
   reference for the model-based inner loop.
 """
@@ -18,7 +18,7 @@ Three controllers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .orifice import OrificeModel, orifice_flow
 from .tube import TubeModelLinear, tube_pressure
@@ -41,23 +41,15 @@ class ModelBasedControllerState:
     est_pressure: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             raise ValueError("tolerance must be >= 0")
-        if self.sample_period <= 0.0:
+        if not self.sample_period > 0.0:
             raise ValueError("sample_period must be > 0")
 
 
 def model_based_init(state: ModelBasedControllerState, p0: float) -> ModelBasedControllerState:
     """Seed the estimate with a known initial tube pressure."""
-    return ModelBasedControllerState(
-        state.tube,
-        state.hp_orifice,
-        state.lp_orifice,
-        state.tolerance,
-        state.sample_period,
-        p0 / state.tube.c_a,
-        p0,
-    )
+    return replace(state, est_volume=p0 / state.tube.c_a, est_pressure=p0)
 
 
 def model_based_tick(
@@ -114,48 +106,23 @@ def model_based_tick(
 
 @dataclass(frozen=True)
 class SwitchingControllerState:
-    """Three-level position switch with per-window duty modulation.
+    """Three-level position switch, evaluated once per window.
 
-    Every `sample_period` window the controller evaluates the position error
-    against the threshold: above it the high-pressure valve is pulsed, below
+    Above the threshold the high-pressure valve is pulsed, below
     minus-threshold the low-pressure valve, inside the band both stay off.
-    The pulse is a single contiguous block at the window start whose length
-    is duty * window, floored to a whole number of command quanta so no
-    pulse shorter than the quantum is ever emitted.
+    The switch only decides; the engine times the pulse (see `sim`).
     """
 
     threshold: float
-    sample_period: float = 0.1
-    duty: float = 0.18
-    command_quantum: float = 0.005
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ValueError("threshold must be > 0")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty must be in [0, 1]")
-        if self.command_quantum <= 0.0 or self.sample_period < self.command_quantum:
-            raise ValueError("need 0 < command_quantum <= sample_period")
 
 
-def switching_sign(state: SwitchingControllerState, e_p: float) -> int:
-    """The three-level switch: +1 pressurize, -1 depressurize, 0 hold."""
-    if e_p > state.threshold:
-        return 1
-    if e_p < -state.threshold:
-        return -1
-    return 0
-
-
-def switching_tick(
-    state: SwitchingControllerState, e_p: float
-) -> tuple[list[tuple[bool, bool]], SwitchingControllerState]:
-    """Valve command schedule for the next window, one entry per quantum."""
-    n_q = round(state.sample_period / state.command_quantum)
-    n_on = math.floor(state.duty * n_q + 1e-9)
-    u = switching_sign(state, e_p)
-    schedule = [(u == 1 and i < n_on, u == -1 and i < n_on) for i in range(n_q)]
-    return schedule, state
+def switching_tick(state: SwitchingControllerState, e_p: float) -> tuple[bool, bool]:
+    """The window's pulse (hp_cmd, lp_cmd); a NaN error pulses neither valve."""
+    return e_p > state.threshold, e_p < -state.threshold
 
 
 @dataclass(frozen=True)
@@ -175,13 +142,13 @@ class PiControllerState:
     integral: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.out_lo > self.out_hi:
+        if not self.out_lo <= self.out_hi:
             raise ValueError("output limits must satisfy out_lo <= out_hi")
 
 
 def pi_tick(state: PiControllerState, e_p: float, dt: float) -> tuple[float, PiControllerState]:
     """One PI update; returns (pressure reference, updated state)."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     integral = state.integral + e_p * dt
     raw = state.bias + state.kp * e_p + state.ki * integral

@@ -51,7 +51,7 @@ class PlantModel:
     p_tank: float
 
     def __post_init__(self) -> None:
-        if self.p_supply < 0.0 or self.p_tank < 0.0:
+        if not (self.p_supply >= 0.0 and self.p_tank >= 0.0):
             raise ValueError("absolute pressures must be >= 0")
 
 
@@ -84,7 +84,7 @@ class HydraulicState:
         play_out: float = 0.0,
         clamped: bool = False,
     ) -> None:
-        if v_tube < 0.0:
+        if not v_tube >= 0.0:
             raise ValueError("tube volume must be >= 0")
         self.__dict__.update(
             v_tube=v_tube,
@@ -145,7 +145,7 @@ def plant_step(
     callers can keep an exact conservation ledger.
     """
     global _fixed_point
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
 
     hp_valve = valve_step(state.hp_valve, hp_cmd, dt)

@@ -40,14 +40,14 @@ class ReferenceSignal:
         if self.kind == STEP_SEQUENCE:
             if len(self.times) != len(self.levels) or not self.times:
                 raise ValueError("step_sequence needs equal-length, non-empty times/levels")
-            if any(b < a for a, b in zip(self.times, self.times[1:])):
+            if not all(a <= b for a, b in zip(self.times, self.times[1:])):
                 raise ValueError("step times must be non-decreasing")
             if self.times[0] != 0.0:
                 raise ValueError("first step time must be 0")
         if self.kind == CHIRP_SINE:
-            if self.lo >= self.hi:
+            if not self.lo < self.hi:
                 raise ValueError("chirp needs lo < hi")
-            if self.sweep_time <= 0.0:
+            if not self.sweep_time > 0.0:
                 raise ValueError("chirp sweep_time must be > 0")
 
 

@@ -3,6 +3,10 @@
 The engine owns all timing: plant steps at dt, valve commands held for a
 whole command quantum, controller decisions on their own (coarser) grids,
 and the delayed/quantized sensors reading from the recorded true histories.
+The switching controller only picks a valve (or none) at each window start;
+the engine holds that valve's command from the window start for the duty
+share of the window, floored to whole command quanta, and both commands off
+for the rest of the window.
 A run is strictly single-threaded and deterministic given its config.
 
 Each column is recorded where it can change, never more often:
@@ -31,6 +35,7 @@ a process several MiB and milliseconds.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -94,6 +99,10 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     quantum_steps = round(run.command_quantum_s / dt)
     sample_steps = round(cfg.controller.sample_period_s / dt)
     window_steps = round(cfg.controller.window_s / dt)
+    # The switching pulse: duty times the window, floored to whole command
+    # quanta so that no pulse is shorter than a quantum.
+    quanta = round(cfg.controller.window_s / run.command_quantum_s)
+    pulse_steps = math.floor(cfg.controller.duty * quanta + 1e-9) * quantum_steps
     pi_steps = round(cfg.controller.pi_period_s / dt)
 
     plant = cfg.build_plant()
@@ -131,7 +140,6 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     clamp_events = 0
 
     hp_cmd = lp_cmd = False
-    schedule: list[tuple[bool, bool]] = []
 
     # plant_step, sensor_read, reference_eval and the controller ticks are
     # looked up as module globals on every call, never bound to locals, so
@@ -157,8 +165,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 hp_cmd, lp_cmd, mb = model_based_tick(mb, p_ref, plant.p_supply, plant.p_tank)
             if sw is not None:
                 if k % window_steps == 0:
-                    schedule, sw = switching_tick(sw, r - sensed_pos)
-                hp_cmd, lp_cmd = schedule.pop(0)
+                    pulse = switching_tick(sw, r - sensed_pos)
+                hp_cmd, lp_cmd = pulse if k % window_steps < pulse_steps else (False, False)
             extend_cmds((hp_cmd, lp_cmd))
 
         append_ref(r)
@@ -199,8 +207,7 @@ def volume_ledger_error(trace: SimTrace) -> float:
     ledger, replayed with the same sequential summation the engine used."""
     if trace.dv is None or not len(trace):
         return 0.0
-    v = trace.columns["v_tube"][0]
-    for dv in trace.dv:
-        v += dv
+    # accumulate adds in order, unlike np.sum's pairwise sum.
+    v = np.add.accumulate(np.r_[trace.columns["v_tube"][0], trace.dv])[-1]
     scale = max(abs(trace.v_final), abs(float(np.max(trace.columns["v_tube"]))), 1e-300)
     return abs(v - trace.v_final) / scale

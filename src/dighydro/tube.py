@@ -47,11 +47,11 @@ class TipPositionMap:
     play_width: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gain < 0.0:
+        if not self.gain >= 0.0:
             raise ValueError(f"gain must be >= 0, got {self.gain}")
-        if self.play_width < 0.0:
+        if not self.play_width >= 0.0:
             raise ValueError(f"play_width must be >= 0, got {self.play_width}")
-        if self.sat_lo > self.sat_hi:
+        if not self.sat_lo <= self.sat_hi:
             raise ValueError("saturation bounds must satisfy sat_lo <= sat_hi")
 
 

@@ -48,7 +48,7 @@ class ValveDynamics:
     pending_open: bool = False
 
     def __post_init__(self) -> None:
-        if self.delay < 0.0 or self.movement_time < 0.0 or self.sticking_time < 0.0:
+        if not (self.delay >= 0.0 and self.movement_time >= 0.0 and self.sticking_time >= 0.0):
             raise ValueError("valve time parameters must be >= 0")
         if not 0.0 <= self.armature <= 1.0:
             raise ValueError(f"armature must be in [0, 1], got {self.armature}")
@@ -58,7 +58,7 @@ class ValveDynamics:
 
 def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
     """Advance the armature by `dt` seconds under a held boolean command."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if valve.phase == (OPEN if command else CLOSED):
         # At rest against the commanded end stop: nothing moves, and the

@@ -152,6 +152,7 @@ def test_zero_sensor_delay_is_accepted():
         ({"plant.kv_hp": "0"}, "[plant] kv_hp must be > 0"),
         ({"controller.ctrl_kv_lp": "-1e-8"}, "[controller] ctrl_kv_lp must be > 0"),
         ({"hysteresis.pressure_step_pa": "0"}, "[hysteresis] pressure_step_pa must be > 0"),
+        ({"controller.duty": "1.5"}, "[controller] duty must be in [0, 1]"),
         # Both of these used to pass load_config and raise ValueError in the run.
         ({"run.seed": "-1"}, "[run] seed must be >= 0"),
         (

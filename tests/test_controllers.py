@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,15 @@ from dighydro import (
     PiControllerState,
     SwitchingControllerState,
     TubeModelLinear,
+    load_config,
     model_based_init,
     model_based_tick,
     pi_tick,
-    switching_sign,
+    run_simulation,
+    scenario_path,
     switching_tick,
 )
+from dighydro import sim
 
 P_SUPPLY = 600e3
 P_TANK = 0.0
@@ -135,49 +139,75 @@ class TestModelBasedPressure:
 
 
 class TestSwitchingPosition:
-    def make(self, duty=0.2):
-        return SwitchingControllerState(
-            threshold=0.5, sample_period=0.1, duty=duty, command_quantum=5e-3
-        )
+    def make(self, threshold=0.5):
+        return SwitchingControllerState(threshold=threshold)
 
-    def test_sign_function_is_odd_with_deadband(self):
+    def test_switch_is_odd_with_deadband(self):
         sw = self.make()
-        assert switching_sign(sw, 1.0) == 1
-        assert switching_sign(sw, -1.0) == -1
-        assert switching_sign(sw, 0.2) == 0
-        assert switching_sign(sw, -0.2) == 0
-        for e in (0.1, 0.3, 0.7, 2.0):
-            assert switching_sign(sw, e) == -switching_sign(sw, -e)
+        assert switching_tick(sw, 1.0) == (True, False)
+        assert switching_tick(sw, -1.0) == (False, True)
+        for e in (0.0, 0.2, -0.2, 0.5, -0.5):
+            assert switching_tick(sw, e) == (False, False)
+        for e in (0.1, 0.3, 0.7, 2.0, math.inf):
+            assert switching_tick(sw, e) == switching_tick(sw, -e)[::-1]
 
-    def test_inside_band_keeps_both_valves_off(self):
-        schedule, _ = switching_tick(self.make(), 0.3)
-        assert all(cmd == (False, False) for cmd in schedule)
+    @given(
+        e=st.floats(allow_nan=True),
+        threshold=st.floats(min_value=0.0, exclude_min=True),
+    )
+    @example(e=math.nan, threshold=0.5)
+    def test_never_commands_both_valves(self, e, threshold):
+        sw = self.make(threshold)
+        hp, lp = switching_tick(sw, e)
+        assert not (hp and lp)
+        if not math.isnan(e):
+            assert (hp, lp) == switching_tick(sw, -e)[::-1]
 
-    def test_positive_error_pulses_hp_for_duty_fraction(self):
-        schedule, _ = switching_tick(self.make(duty=0.2), 1.0)
-        assert len(schedule) == 20
-        assert [hp for hp, _ in schedule] == [True] * 4 + [False] * 16
-        assert not any(lp for _, lp in schedule)
-
-    def test_negative_error_pulses_lp(self):
-        schedule, _ = switching_tick(self.make(duty=0.2), -1.0)
-        assert [lp for _, lp in schedule] == [True] * 4 + [False] * 16
-        assert not any(hp for hp, _ in schedule)
-
-    def test_duty_is_floored_to_whole_quanta(self):
-        schedule, _ = switching_tick(self.make(duty=0.17), 1.0)
-        assert sum(hp for hp, _ in schedule) == 3  # 17 ms -> 3 whole 5 ms quanta
-
-    @given(e=st.floats(min_value=-5.0, max_value=5.0), duty=st.floats(min_value=0.0, max_value=1.0))
-    def test_schedule_never_commands_both(self, e, duty):
-        schedule, _ = switching_tick(self.make(duty=duty), e)
-        assert not any(hp and lp for hp, lp in schedule)
-
-    def test_rejects_bad_parameters(self):
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, math.nan])
+    def test_rejects_threshold_not_above_zero(self, threshold):
         with pytest.raises(ValueError):
-            SwitchingControllerState(threshold=0.0)
-        with pytest.raises(ValueError):
-            SwitchingControllerState(threshold=0.5, duty=1.5)
+            SwitchingControllerState(threshold=threshold)
+
+    def run(self, level, duty, duration="0.5"):
+        o = {
+            "reference.step_levels": f"{level}, {level}",
+            "controller.duty": duty,
+            "run.duration_s": duration,
+        }
+        cfg = load_config(scenario_path("step_unloaded_p1"), o)
+        return cfg, run_simulation(cfg)
+
+    @pytest.mark.parametrize("duty, pulse_steps", [("0.2", 40), ("0.17", 30), ("0.18", 30)])
+    def test_unreachable_target_pulses_hp_for_whole_quanta_of_duty(self, duty, pulse_steps):
+        # The tip saturates at 14 mm. A 100 ms window is 200 steps of
+        # 0.5 ms; 17 or 18 ms of duty floors to three whole 5 ms quanta.
+        cfg, trace = self.run(100.0, duty)
+        window_steps = round(cfg.controller.window_s / cfg.run.dt_s)
+        hp = trace["hp_cmd"].reshape(-1, window_steps)
+        assert len(hp) == 5
+        expected = np.arange(window_steps) < pulse_steps
+        assert (hp == expected).all()
+        assert not trace["lp_cmd"].any()
+
+    def test_target_below_reach_pulses_lp(self):
+        cfg, trace = self.run(-100.0, "0.2")
+        lp = trace["lp_cmd"].reshape(-1, round(cfg.controller.window_s / cfg.run.dt_s))
+        assert (lp == (np.arange(lp.shape[1]) < 40)).all()
+        assert not trace["hp_cmd"].any()
+
+    def test_switch_is_ticked_once_per_window(self, monkeypatch):
+        calls = []
+
+        def counted(state, e_p):
+            calls.append(e_p)
+            return switching_tick(state, e_p)
+
+        monkeypatch.setattr(sim, "switching_tick", counted)
+        cfg, trace = self.run(4.0, "0.18", duration="1.0")
+        n_steps = round(cfg.run.duration_s / cfg.run.dt_s)
+        window_steps = round(cfg.controller.window_s / cfg.run.dt_s)
+        assert len(trace) == n_steps
+        assert len(calls) == n_steps / window_steps == 10
 
 
 class TestPiOuterLoop:

@@ -64,7 +64,8 @@ def _on_grid(draw, dt: float, lo: int, hi: int, special: tuple[int, ...]) -> str
 @st.composite
 def overrides(draw) -> dict[str, str]:
     """Overrides of a bundled scenario: short runs, every controller kind,
-    valve timings, noise, and low initial pressures."""
+    valve timings, noise, low initial pressures, and switching pulses of any
+    duty over windows of one, two or twenty command quanta."""
     dt = draw(st.sampled_from([2.5e-4, 5e-4, 1e-3]))
     o = {
         "controller.kind": draw(st.sampled_from(CONTROLLER_KINDS)),
@@ -78,6 +79,10 @@ def overrides(draw) -> dict[str, str]:
         "plant.kv_lp": draw(_num(5e-9, 8e-8)),
         "plant.transition_pressure_pa": draw(_num(10.0, 5e3)),
         "controller.tolerance_pa": draw(st.sampled_from(["0", "10e3"]) | _num(0.0, 5e4)),
+        "controller.duty": draw(st.sampled_from(["0", "0.15", "0.17", "0.2", "1"]) | _num(0.0, 1.0)),
+        # Every bundled scenario has a 5 ms command quantum.
+        "controller.window_s": repr(draw(st.sampled_from([1, 2, 20])) * 5e-3),
+        "controller.threshold_mm": draw(st.sampled_from(["0.5", "0.05"]) | _num(1e-3, 5.0)),
         "sensor.pressure_noise_std_pa": draw(st.sampled_from(["0", "500"])),
         "sensor.position_noise_std_mm": draw(st.sampled_from(["0", "0.02"])),
         "sensor.pressure_quantization_pa": draw(st.sampled_from(["0", "1e3"]) | _num(0.0, 5e3)),
@@ -159,6 +164,36 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
 # on and fills no row; in the one-step case it is the only step.
 @example(name="chirp_matched", o={"run.duration_s": "0.05", "plant.initial_pressure_pa": "0"})
 @example(name="chirp_matched", o={"run.duration_s": "0.0005", "plant.initial_pressure_pa": "123456.7"})
+# Switching runs over three windows and more, each ending inside a window:
+# HP pulses of 3 of 20 quanta, of 1 of 2, and of a whole one-quantum window;
+# LP pulses of 4 of 20 quanta from a pressurized tube down to the -0.8 mm
+# target of step_loaded.
+@example(
+    name="step_unloaded_p1",
+    o={"reference.step_levels": "100, 100", "controller.duty": "0.17", "run.duration_s": "0.35"},
+)
+@example(
+    name="step_unloaded_p1",
+    o={
+        "reference.step_levels": "4, 4",
+        "controller.duty": "0.5",
+        "controller.window_s": "0.01",
+        "run.duration_s": "0.035",
+    },
+)
+@example(
+    name="step_unloaded_p2",
+    o={
+        "reference.step_levels": "7, 7",
+        "controller.duty": "1",
+        "controller.window_s": "0.005",
+        "run.duration_s": "0.0175",
+    },
+)
+@example(
+    name="step_loaded",
+    o={"plant.initial_pressure_pa": "1e5", "controller.duty": "0.2", "run.duration_s": "0.35"},
+)
 def test_memo_is_bit_identical_to_plain_path(name, o):
     _assert_matches_plain_path(name, o)
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dighydro
 from dighydro import (
@@ -19,7 +21,7 @@ from dighydro import (
     volume_ledger_error,
 )
 from dighydro.metrics import tracking_error
-from dighydro.sim import TRACE_COLUMNS
+from dighydro.sim import TRACE_COLUMNS, SimTrace
 
 # sha256 over the little-endian float64 bytes of every trace column, in
 # TRACE_COLUMNS order. They lock the engine paths that the two golden
@@ -136,6 +138,33 @@ def test_volume_ledger_is_exact(scenario_run):
     for name in ("chirp_matched", "step_unloaded_p1"):
         _, trace = scenario_run(name)
         assert volume_ledger_error(trace) < 1e-12
+
+
+_volume = st.floats(0.0, 1e-3)
+_booked = (
+    st.floats(-1e-3, 1e-3)
+    | st.floats(-1e-20, 1e-20)
+    | st.sampled_from([5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.0, -0.0])
+)
+
+
+@given(v0=_volume, dvs=st.lists(_booked, min_size=1, max_size=50), v_final=st.none() | _volume)
+def test_volume_ledger_replays_the_sequential_sum(v0, dvs, v_final):
+    # The engine books each step's volume in step order; a pairwise or
+    # reordered sum of sign-mixed or subnormal volumes rounds differently.
+    v = np.float64(v0)
+    for dv in dvs:
+        v += dv
+    if v_final is None:
+        v_final = float(v)
+    n = len(dvs)
+    trace = SimTrace(
+        columns={"t": np.arange(n) * 1e-3, "v_tube": np.full(n, v0)},
+        dv=np.array(dvs),
+        v_final=v_final,
+    )
+    expected = abs(v - v_final) / max(abs(v_final), v0, 1e-300)
+    assert float(volume_ledger_error(trace)).hex() == float(expected).hex()
 
 
 def test_trace_time_grid_has_no_drift(scenario_run):

@@ -5,6 +5,7 @@ positional constructor, and `HydraulicState` has its own `__init__`; these
 tests hold them to what `dataclasses.replace` gave before.
 """
 
+import math
 import struct
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -17,11 +18,16 @@ from dighydro import (
     ModelBasedControllerState,
     OrificeModel,
     PiControllerState,
+    PlantModel,
+    ReferenceSignal,
+    TipPositionMap,
     TubeModelLinear,
     ValveDynamics,
+    initial_state,
     model_based_init,
     model_based_tick,
     pi_tick,
+    plant_step,
     valve_step,
 )
 
@@ -57,6 +63,47 @@ INVALID = [
     (MB, {"sample_period": 0.0}),
     (PI, {"out_lo": 7e5}),
 ]
+
+
+TIP = TipPositionMap(gain=2e-5, sat_lo=0.0, sat_hi=14.0, play_width=15e3)
+PLANT = PlantModel(
+    TubeModelLinear(3.3e11), OrificeModel(1e-8, 1e3), OrificeModel(1e-8, 1e3), TIP, 6e5, 0.0
+)
+CHIRP = ReferenceSignal(kind="chirp_sine", lo=150e3, hi=250e3, sweep_time=30.0)
+STEPS = ReferenceSignal(kind="step_sequence", times=(0.0, 1.0, 2.0), levels=(0.0, 4.0, 2.0))
+
+# Each range check is written `not (x >= 0)` or the like, so that NaN fails
+# it; `x < 0` would let NaN through.
+NAN = math.nan
+NAN_REFUSED = {
+    "ModelBasedControllerState-tolerance": lambda: replace(MB, tolerance=NAN),
+    "ModelBasedControllerState-sample_period": lambda: replace(MB, sample_period=NAN),
+    "PiControllerState-out_lo": lambda: replace(PI, out_lo=NAN),
+    "PiControllerState-out_hi": lambda: replace(PI, out_hi=NAN),
+    "ValveDynamics-delay": lambda: replace(VALVE, delay=NAN),
+    "ValveDynamics-movement_time": lambda: replace(VALVE, movement_time=NAN),
+    "ValveDynamics-sticking_time": lambda: replace(VALVE, sticking_time=NAN),
+    "TipPositionMap-gain": lambda: replace(TIP, gain=NAN),
+    "TipPositionMap-play_width": lambda: replace(TIP, play_width=NAN),
+    "TipPositionMap-sat_lo": lambda: replace(TIP, sat_lo=NAN),
+    "TipPositionMap-sat_hi": lambda: replace(TIP, sat_hi=NAN),
+    "PlantModel-p_supply": lambda: replace(PLANT, p_supply=NAN),
+    "PlantModel-p_tank": lambda: replace(PLANT, p_tank=NAN),
+    "ReferenceSignal-lo": lambda: replace(CHIRP, lo=NAN),
+    "ReferenceSignal-hi": lambda: replace(CHIRP, hi=NAN),
+    "ReferenceSignal-sweep_time": lambda: replace(CHIRP, sweep_time=NAN),
+    "ReferenceSignal-times": lambda: replace(STEPS, times=(0.0, NAN, 2.0)),
+    "HydraulicState-v_tube": lambda: replace(STATE, v_tube=NAN),
+    "plant_step-dt": lambda: plant_step(PLANT, initial_state(PLANT, 2e5, VALVE), True, False, NAN),
+    "valve_step-dt": lambda: valve_step(VALVE, True, NAN),
+    "pi_tick-dt": lambda: pi_tick(PI, 1.0, NAN),
+}
+
+
+@pytest.mark.parametrize("build", NAN_REFUSED.values(), ids=NAN_REFUSED.keys())
+def test_nan_parameter_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def field_values(obj) -> dict:
