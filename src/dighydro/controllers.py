@@ -82,14 +82,18 @@ def model_based_tick(
     v = state.est_volume
     v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
     v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
-    # (hp_cmd, lp_cmd, volume, pressure) in tie-break order; min keeps the
-    # first of equal errors.
-    actions = (
-        (False, False, v, p),
-        (True, False, v_hp, tube_pressure(state.tube, v_hp)),
-        (False, True, v_lp, tube_pressure(state.tube, v_lp)),
-    )
-    hp_cmd, lp_cmd, v_new, p_new = min(actions, key=lambda a: abs(p_ref - a[3]))
+    p_hp = tube_pressure(state.tube, v_hp)
+    p_lp = tube_pressure(state.tube, v_lp)
+    # The argmin over (hold, pressurize, depressurize), as min() picks it:
+    # a later action wins only on a strictly smaller error, so exact ties
+    # keep the earlier one and a NaN error never wins.
+    hp_cmd = lp_cmd = False
+    v_new, p_new, err = v, p, abs(p_ref - p)
+    e = abs(p_ref - p_hp)
+    if e < err:
+        hp_cmd, v_new, p_new, err = True, v_hp, p_hp, e
+    if abs(p_ref - p_lp) < err:
+        hp_cmd, lp_cmd, v_new, p_new = False, True, v_lp, p_lp
     # The positional constructor runs __post_init__ as replace() would, at
     # half its cost.
     new_state = ModelBasedControllerState(
@@ -144,6 +148,8 @@ class PiControllerState:
     def __post_init__(self) -> None:
         if not self.out_lo <= self.out_hi:
             raise ValueError("output limits must satisfy out_lo <= out_hi")
+        if math.isnan(self.kp) or math.isnan(self.ki) or math.isnan(self.bias):
+            raise ValueError("kp, ki and bias must not be NaN")
 
 
 def pi_tick(state: PiControllerState, e_p: float, dt: float) -> tuple[float, PiControllerState]:

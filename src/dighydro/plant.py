@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 
 from .orifice import OrificeModel, orifice_flow
-from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
+from .tube import TipPositionMap, TubeModelLinear, tip_position
 from .valve import ValveDynamics, valve_step
 
 
@@ -84,8 +84,10 @@ class HydraulicState:
         play_out: float = 0.0,
         clamped: bool = False,
     ) -> None:
-        if not v_tube >= 0.0:
-            raise ValueError("tube volume must be >= 0")
+        # p_tube == p_tube fails only for NaN; riding in the v_tube condition,
+        # it costs an active step one more compare.
+        if not (v_tube >= 0.0 and p_tube == p_tube):
+            raise ValueError("tube volume must be >= 0 and tube pressure not NaN")
         self.__dict__.update(
             v_tube=v_tube,
             p_tube=p_tube,
@@ -173,7 +175,9 @@ def plant_step(
         v_new = 0.0
         clamped = True
 
-    p_new = tube_pressure(plant.tube, v_new)
+    # tube_pressure, inlined: after the clamp v_new is >= 0 or NaN, so its
+    # check could never fire here.
+    p_new = plant.tube.c_a * v_new
     tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 
     # The v_tube compare rejects a moving plant before the full one. A valve

@@ -10,6 +10,10 @@ additive Gaussian noise. A read at step k looks only at values[:k + 1].
 A read takes its noise as a standard-normal draw `z` from the caller, who
 owns the random stream; the engine draws a whole run's noise at once (see
 `sim`).
+
+`quantize` stays the public single-step definition of the rounding.
+`sensor_read` inlines it on the per-step path; a property test holds a read
+bit for bit to `quantize` plus noise.
 """
 
 from __future__ import annotations
@@ -67,8 +71,12 @@ def sensor_read(
     value; otherwise that value is returned as it is."""
     j = k - sensor.delay_steps
     out = values[j - j % sensor.sample_steps] if j > 0 else values[0]
-    if sensor.quantization > 0.0:
-        out = quantize(out, sensor.quantization)
+    q = sensor.quantization
+    if q > 0.0:
+        # quantize(out, q), inlined.
+        steps = abs(out) / q
+        if steps != math.inf:
+            out = math.copysign(math.floor(steps + 0.5), out) * q
     if sensor.noise_std > 0.0 and z is not None:
         out += sensor.noise_std * z
     return out

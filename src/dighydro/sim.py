@@ -28,9 +28,10 @@ Sensor noise for the whole run is drawn up front in one
 `rng.standard_normal(n_steps * m)` call, m being the number of sensors with
 noise_std > 0: per step, the pressure sensor's draw, then the position
 sensor's. That is bit for bit the stream of n_steps * m scalar draws in
-read order. Each read gets its draw as a Python float (`item`). A run with
-m = 0 builds no generator, so it never imports `numpy.random`, which costs
-a process several MiB and milliseconds.
+read order. Each read gets its draw as a Python float through a
+`memoryview` of the draws, not `ndarray.item`: the bits are the same, at
+under half the cost. A run with m = 0 builds no generator, so it never
+imports `numpy.random`, which costs a process several MiB and milliseconds.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pos_noisy = pos_sensor.noise_std > 0.0
     m = p_noisy + pos_noisy
     if m:
-        draw = np.random.default_rng(run.seed).standard_normal(n_steps * m).item
+        draws = np.random.default_rng(run.seed).standard_normal(n_steps * m)
+        draw = memoryview(draws).__getitem__
 
     kind = cfg.controller.kind
     mb = cfg.build_model_based_controller() if kind in ("pressure_model", "pi_pressure") else None

@@ -5,10 +5,15 @@ fluid volume inside it. The bending tip is described by a static affine
 pressure-to-position map, optionally preceded by a play (backlash) operator
 so that up-sweeps and down-sweeps trace different branches, which is how the
 drive exhibits its pressure/position hysteresis loop.
+
+`play_update` stays the public single-step definition of the play operator.
+`tip_position` inlines it, and the saturation clamp, on the per-step path;
+a differential test holds it bit for bit to the plain composition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -49,6 +54,8 @@ class TipPositionMap:
     def __post_init__(self) -> None:
         if not self.gain >= 0.0:
             raise ValueError(f"gain must be >= 0, got {self.gain}")
+        if math.isnan(self.offset):
+            raise ValueError("offset must not be NaN")
         if not self.play_width >= 0.0:
             raise ValueError(f"play_width must be >= 0, got {self.play_width}")
         if not self.sat_lo <= self.sat_hi:
@@ -73,7 +80,16 @@ def tip_position(tmap: TipPositionMap, p: float, play_out: float) -> tuple[float
     """
     if p < 0.0:
         raise ValueError(f"pressure must be >= 0, got {p}")
-    w = play_update(play_out, p, tmap.play_width)
+    # play_update and the saturation clamp, inlined: `b if b > a else a` is
+    # exactly max(a, b) and `b if b < a else a` exactly min(a, b), NaN and
+    # signed zeros included.
+    width = tmap.play_width
+    lo = p - width
+    w = lo if lo > play_out else play_out
+    hi = p + width
+    w = hi if hi < w else w
     y = tmap.gain * w + tmap.offset
-    y = min(max(y, tmap.sat_lo), tmap.sat_hi)
-    return y, w
+    lo = tmap.sat_lo
+    y = lo if lo > y else y
+    hi = tmap.sat_hi
+    return (hi if hi < y else y), w

@@ -124,6 +124,14 @@ def test_read_is_quantize_plus_noise(x, q, noise_std, z):
     assert struct.pack("<d", sensor_read(sensor, [x], 0, z)) == struct.pack("<d", expected)
 
 
+@pytest.mark.parametrize("q", [0.5, 5e-324])
+def test_quantized_read_of_nan_raises_as_quantize_does(q):
+    with pytest.raises(ValueError):
+        quantize(math.nan, q)
+    with pytest.raises(ValueError):
+        sensor_read(SensorModel(sample_steps=1, quantization=q), [math.nan], 0)
+
+
 def test_rejects_bad_history_and_params():
     sensor = SensorModel(sample_steps=1)
     with pytest.raises(IndexError):

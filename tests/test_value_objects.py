@@ -1,8 +1,9 @@
 """The frozen state objects keep their dataclass contracts.
 
 `valve_step`, `model_based_tick` and `pi_tick` build their results with the
-positional constructor, and `HydraulicState` has its own `__init__`; these
-tests hold them to what `dataclasses.replace` gave before.
+positional constructor, and `HydraulicState` and `ValveDynamics` have their
+own `__init__`; these tests hold them to what `dataclasses.replace` gave
+before.
 """
 
 import math
@@ -58,6 +59,7 @@ INVALID = [
     (STATE, {"v_tube": -1e-12}),
     (VALVE, {"delay": -1e-3}),
     (VALVE, {"armature": 1.5}),
+    (VALVE, {"armature": math.nan}),
     (VALVE, {"phase": "ajar"}),
     (MB, {"tolerance": -1.0}),
     (MB, {"sample_period": 0.0}),
@@ -80,6 +82,9 @@ NAN_REFUSED = {
     "ModelBasedControllerState-sample_period": lambda: replace(MB, sample_period=NAN),
     "PiControllerState-out_lo": lambda: replace(PI, out_lo=NAN),
     "PiControllerState-out_hi": lambda: replace(PI, out_hi=NAN),
+    "PiControllerState-kp": lambda: replace(PI, kp=NAN),
+    "PiControllerState-ki": lambda: replace(PI, ki=NAN),
+    "PiControllerState-bias": lambda: replace(PI, bias=NAN),
     "ValveDynamics-delay": lambda: replace(VALVE, delay=NAN),
     "ValveDynamics-movement_time": lambda: replace(VALVE, movement_time=NAN),
     "ValveDynamics-sticking_time": lambda: replace(VALVE, sticking_time=NAN),
@@ -87,13 +92,19 @@ NAN_REFUSED = {
     "TipPositionMap-play_width": lambda: replace(TIP, play_width=NAN),
     "TipPositionMap-sat_lo": lambda: replace(TIP, sat_lo=NAN),
     "TipPositionMap-sat_hi": lambda: replace(TIP, sat_hi=NAN),
+    "TipPositionMap-offset": lambda: replace(TIP, offset=NAN),
     "PlantModel-p_supply": lambda: replace(PLANT, p_supply=NAN),
     "PlantModel-p_tank": lambda: replace(PLANT, p_tank=NAN),
     "ReferenceSignal-lo": lambda: replace(CHIRP, lo=NAN),
     "ReferenceSignal-hi": lambda: replace(CHIRP, hi=NAN),
     "ReferenceSignal-sweep_time": lambda: replace(CHIRP, sweep_time=NAN),
     "ReferenceSignal-times": lambda: replace(STEPS, times=(0.0, NAN, 2.0)),
+    "ReferenceSignal-f0": lambda: replace(CHIRP, f0=NAN),
+    "ReferenceSignal-f1": lambda: replace(CHIRP, f1=NAN),
+    "ReferenceSignal-value": lambda: ReferenceSignal(kind="constant", value=NAN),
+    "ReferenceSignal-levels": lambda: replace(STEPS, levels=(0.0, NAN, 2.0)),
     "HydraulicState-v_tube": lambda: replace(STATE, v_tube=NAN),
+    "HydraulicState-p_tube": lambda: replace(STATE, p_tube=NAN),
     "plant_step-dt": lambda: plant_step(PLANT, initial_state(PLANT, 2e5, VALVE), True, False, NAN),
     "valve_step-dt": lambda: valve_step(VALVE, True, NAN),
     "pi_tick-dt": lambda: pi_tick(PI, 1.0, NAN),
@@ -152,6 +163,31 @@ def test_hydraulic_state_init_is_the_dataclass_init():
     short = HydraulicState(1e-6, 3.3e5, VALVE, VALVE, 6.6)
     assert (short.play_out, short.clamped) == (0.0, False)
     assert repr(short).startswith("HydraulicState(v_tube=1e-06, p_tube=330000.0,")
+
+
+def test_valve_dynamics_init_is_the_dataclass_init():
+    kwargs = field_values(VALVE)
+    assert list(vars(VALVE)) == [f.name for f in fields(ValveDynamics)]
+    assert ValveDynamics(**kwargs) == VALVE
+    assert hash(ValveDynamics(**kwargs)) == hash(VALVE)
+    assert_same_fields(replace(VALVE), VALVE)
+    moved = replace(VALVE, armature=0.25, phase="opening", pending_open=True)
+    assert (moved.armature, moved.phase, moved.pending_open, moved.delay) == (
+        0.25,
+        "opening",
+        True,
+        VALVE.delay,
+    )
+    assert moved != VALVE
+    # The __init__ defaults are the declared field defaults; repr tells 0.0
+    # from -0.0 and False from 0.
+    defaults = ValveDynamics()
+    for f in fields(ValveDynamics):
+        assert repr(getattr(defaults, f.name)) == repr(f.default), f.name
+    assert repr(ValveDynamics()) == (
+        "ValveDynamics(delay=0.001, movement_time=0.002, sticking_time=0.001,"
+        " armature=0.0, phase='closed', timer=0.0, pending_open=False)"
+    )
 
 
 @given(
