@@ -25,8 +25,9 @@ class OrificeModel:
     p_tr: float
 
     def __post_init__(self) -> None:
-        if not self.k_v > 0.0:
-            raise ValueError(f"k_v must be > 0, got {self.k_v}")
+        # A closed valve's flow is 0.0 * k_v, which an infinite k_v makes NaN.
+        if not 0.0 < self.k_v < math.inf:
+            raise ValueError(f"k_v must be finite and > 0, got {self.k_v}")
         if not self.p_tr > 0.0:
             raise ValueError(f"p_tr must be > 0, got {self.p_tr}")
 

@@ -41,10 +41,15 @@ class SensorModel:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.sample_steps < 1:
             raise ValueError("sample_steps must be >= 1")
+        if self.delay_steps < 0:
+            raise ValueError("delay_steps must be >= 0")
         # Written so that NaN fails too: a NaN step or spread would skip
-        # rounding or noise without a word.
-        if not (self.delay_steps >= 0 and self.quantization >= 0.0 and self.noise_std >= 0.0):
-            raise ValueError("delay_steps, quantization, noise_std must be >= 0")
+        # rounding or noise without a word. An infinite one makes reads NaN,
+        # as floor(abs(x) / inf + 0.5) * inf and inf * 0.0 are.
+        for name in ("quantization", "noise_std"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def quantize(x: float, q: float) -> float:

@@ -4,13 +4,16 @@ Column order is fixed; floats are written with Python's shortest round-trip
 representation so that reading a trace back reproduces it bit for bit.
 
 The rows are written in self-contained chunks of `CHUNK_ROWS`, which bounds
-the memory the texts take. In each chunk, only the leading columns whose
-bits change on every row (t always, ref on a chirp) are formatted row by
-row. The columns after them repeat from row to row on quiescent steps: each
-gets one `repr` per run of its equal float64 bits, and together they get one
-joined text per run of rows in which none of them changes, which every row
-of that run shares. The bits, not `==`, decide, so 0.0 and -0.0 keep their
-own texts.
+the memory the texts take. Each chunk's text is one join over a flat list of
+pieces; no row has a string of its own. Change detection runs on one bit
+matrix per chunk, the chunk's columns stacked and viewed as uint64: only the
+leading columns whose bits change on every row (t always, ref on a chirp)
+are formatted row by row. The columns after them repeat from row to row on
+quiescent steps: each gets one `repr` per run of its equal float64 bits, and
+together they get one joined text per run of rows in which none of them
+changes, a piece which every row of that run shares, as all rows share the
+comma and newline pieces. The bits, not `==`, decide, so 0.0 and -0.0 keep
+their own texts.
 
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label, control domain and step size, which the
@@ -38,23 +41,39 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _rows(cols: list[np.ndarray]) -> list[str]:
-    """Text of each row of equal-length columns, at least one row long."""
-    n = len(cols[0])
-    changed = [c.view(np.uint64)[1:] != c.view(np.uint64)[:-1] for c in cols]
-    lead = next((i for i, ch in enumerate(changed) if not ch.all()), len(cols))
-    dense = [map(repr, c.tolist()) for c in cols[:lead]]
-    if lead == len(cols):
-        return list(map(",".join, zip(*dense)))
-    # The tail's text changes only where one of its columns does.
-    starts = np.r_[0, np.flatnonzero(np.logical_or.reduce(changed[lead:])) + 1]
-    tail_texts = []
-    for c, ch in zip(cols[lead:], changed[lead:]):
-        texts = np.array(list(map(repr, c[np.r_[0, np.flatnonzero(ch) + 1]].tolist())), dtype=object)
-        tail_texts.append(texts[np.r_[0, np.cumsum(ch)][starts]].tolist())
-    tails = np.array(list(map(",".join, zip(*tail_texts))), dtype=object)
-    tails = np.repeat(tails, np.diff(starts, append=n)).tolist()
-    return list(map(",".join, zip(*dense, tails))) if lead else tails
+def _pieces(cols: list[np.ndarray]) -> list[str]:
+    """Pieces whose join is the text of the rows of equal-length columns, at
+    least one row long, each row ended by a newline. The caller joins them
+    once this function's arrays are freed, so that they do not add to the
+    join's peak memory."""
+    block = np.vstack(cols)
+    bits = block.view(np.uint64)
+    changed = bits[:, 1:] != bits[:, :-1]
+    dense = changed.all(axis=1)
+    ncols, m = block.shape
+    lead = ncols if dense.all() else int(dense.argmin())
+    # A row's pieces: each dense column's text and a comma, then the tail's
+    # text and the newline; without a tail, the last comma is the newline.
+    width = 2 * lead + 2 if lead < ncols else 2 * ncols
+    pieces = ([","] * (width - 1) + ["\n"]) * m
+    for i in range(lead):
+        pieces[2 * i :: width] = map(repr, block[i].tolist())
+    if lead == ncols:
+        return pieces
+    # The tail's text changes only where one of its columns does: each run
+    # of rows shares one text, and each column of it gets one repr per run
+    # at which its bits change, carried forward by a flat cumsum.
+    tail, tail_changed = block[lead:], changed[lead:]
+    start = np.ones(m, dtype=bool)
+    tail_changed.any(axis=0, out=start[1:])
+    starts = np.flatnonzero(start)
+    new = np.ones((len(tail), len(starts)), dtype=bool)
+    new[:, 1:] = tail_changed[:, starts[1:] - 1]
+    texts = np.array(list(map(repr, tail[:, starts][new].tolist())), dtype=object)
+    run_texts = texts[np.cumsum(new) - 1].reshape(new.shape)
+    tails = np.array(list(map(",".join, run_texts.T.tolist())), dtype=object)
+    pieces[2 * lead :: width] = tails[np.cumsum(start) - 1].tolist()
+    return pieces
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:
@@ -72,7 +91,7 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):
-            fh.write("\n".join(_rows([c[start : start + CHUNK_ROWS] for c in cols])) + "\n")
+            fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols])))
     meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

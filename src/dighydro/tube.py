@@ -24,8 +24,9 @@ class TubeModelLinear:
     c_a: float
 
     def __post_init__(self) -> None:
-        if not self.c_a > 0.0:
-            raise ValueError(f"c_a must be > 0, got {self.c_a}")
+        # An infinite compliance turns an empty tube's pressure into inf * 0.0.
+        if not 0.0 < self.c_a < math.inf:
+            raise ValueError(f"c_a must be finite and > 0, got {self.c_a}")
 
 
 def tube_pressure(model: TubeModelLinear, v: float) -> float:

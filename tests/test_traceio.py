@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,11 +107,47 @@ def _columns(draw) -> list[list[float]]:
     + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, -math.inf, 0.0]] * 4,
 )
+# The two edge layouts of a chunk's pieces: no dense column at all (a
+# constant t), and every column dense but the last (only sensed_p repeats,
+# in both chunks).
+@example(
+    chunk_rows=7,
+    cols=[[0.5] * 9]
+    + [_dense(0.0, None, 9), [-0.0] * 9]
+    + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, math.nan, math.nan]] * 8,
+)
+@example(
+    chunk_rows=7,
+    cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
+    + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
+)
 def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols):
     trace = SimTrace(columns={name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
         _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
+
+
+def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path):
+    # Dense t and ref ahead of columns that hold each value for four rows:
+    # every row has its own text, so a writer that held the text of the
+    # whole trace at once would need about ten times the memory on ten
+    # times the rows.
+    def write_peak(rows: int) -> int:
+        rng = np.random.default_rng(7)
+        columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
+        columns["t"] = np.arange(rows) * 1e-4
+        columns["ref"] = rng.standard_normal(rows)
+        trace = SimTrace(columns=columns)
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "trace.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = write_peak(4 * traceio.CHUNK_ROWS), write_peak(40 * traceio.CHUNK_ROWS)
+    assert long < 1.5 * short, (short, long)
 
 
 @pytest.mark.parametrize("short", ["sensed_p", "t"])

@@ -21,6 +21,7 @@ from dighydro import (
     PiControllerState,
     PlantModel,
     ReferenceSignal,
+    SensorModel,
     TipPositionMap,
     TubeModelLinear,
     ValveDynamics,
@@ -46,6 +47,7 @@ MB = model_based_init(
     200e3,
 )
 PI = PiControllerState(kp=3e4, ki=2e4, bias=1e5, out_lo=0.0, out_hi=6e5, integral=0.25)
+SENSOR = SensorModel(sample_steps=5, delay_steps=2, quantization=1e3, noise_std=500.0)
 STATE = HydraulicState(1e-6, 3.3e5, VALVE, VALVE, 6.6, 0.5, False)
 
 OBJECTS = {
@@ -64,6 +66,8 @@ INVALID = [
     (MB, {"tolerance": -1.0}),
     (MB, {"sample_period": 0.0}),
     (PI, {"out_lo": 7e5}),
+    (MB.tube, {"c_a": math.inf}),
+    (MB.hp_orifice, {"k_v": math.inf}),
 ]
 
 
@@ -150,6 +154,17 @@ def test_invalid_values_are_rejected_by_constructor_and_replace(obj, bad):
         type(obj)(**{**field_values(obj), **bad})
     with pytest.raises(ValueError):
         replace(obj, **bad)
+
+
+INFINITE = [(MB.tube, "c_a"), (MB.hp_orifice, "k_v"), (SENSOR, "quantization"), (SENSOR, "noise_std")]
+
+
+@pytest.mark.parametrize("obj, name", INFINITE, ids=[f"{type(o).__name__}-{n}" for o, n in INFINITE])
+def test_infinite_parameter_is_refused_by_name(obj, name):
+    # Each would turn a run's values into NaN (inf * 0.0) and fail later,
+    # if at all, with a message that names neither the object nor the field.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(obj, **{name: math.inf})
 
 
 def test_hydraulic_state_init_is_the_dataclass_init():
