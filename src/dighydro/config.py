@@ -297,6 +297,9 @@ def _is_multiple(a: float, b: float) -> bool:
     if b <= 0.0:
         return False
     ratio = a / b
+    # An infinite ratio (a subnormal b, a huge a) is no whole number.
+    if not math.isfinite(ratio):
+        return False
     return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 

@@ -15,6 +15,26 @@ changes, a piece which every row of that run shares, as all rows share the
 comma and newline pieces. The bits, not `==`, decide, so 0.0 and -0.0 keep
 their own texts.
 
+The time column takes its texts from the decimal grid of the trace's step
+size dt: with repr(dt) = m * 10**-e, row k's grid value is c = k * m / 10**e.
+A row whose t is c prints as two pieces shared with other rows, the whole
+part k * m // 10**e, one text per run of rows in a chunk, and the fraction
+with the comma after it, from one table per step size of 10**e / gcd(m,
+10**e) texts; the table is used only while it is at most sixteen chunks'
+rows long, which holds e at 12 or less. Row k is taken to be c where
+k * m < 2**52, t >= 1e-4, and k * m / 10.0**e has t's bits. That is exact:
+k * m and 10**e are then exact doubles, so the quotient is c correctly
+rounded, and t is the double nearest c. Every other decimal that ends at
+or before the 10**-e digit lies at least 10**-e from c, more than one ulp
+of t while k * m < 2**52, so none of them reads back as t, and every
+decimal with a later last digit has more significant digits than c. So c
+is the shortest text that reads back as t, which is what repr prints, and
+between 1e-4 and 1e16 repr prints it in fixed notation. The test is made
+row by row, so a t column that is not arange(n) * dt is still written
+exactly. Every other row, -0.0, NaN, the infinities and negative values
+among them, prints as its repr and a comma; so does the whole column when
+dt has no usable grid (0.0, say).
+
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label, control domain and step size, which the
 CSV has no room for; `read_trace` reads it back, so metrics computed from a
@@ -23,6 +43,7 @@ trace read from disk equal those of the run that wrote it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -41,11 +62,64 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _pieces(cols: list[np.ndarray]) -> list[str]:
+@functools.lru_cache(maxsize=4)
+def _time_grid(dt: float, max_period: int) -> tuple[int, int, np.ndarray] | None:
+    """The decimal grid of the step size dt, (m, e, fractions): repr(dt) is
+    m * 10**-e, with m > 0 and e >= 0 as small as they can be, and
+    fractions[j] is the text of the fraction of j * m / 10**e followed by
+    the comma, such as ".0015," or ".0,". None where there is no grid: dt
+    not positive and finite, m of 2**52 or more (only the first row would be
+    on it), or a table of fractions longer than max_period. Cached, as
+    every trace of a run set shares its dt."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        return None
+    mantissa, _, exponent = repr(dt).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    m, e = int(whole + fraction), len(fraction) - int(exponent or 0)
+    while e > 0 and m % 10 == 0:
+        m, e = m // 10, e - 1
+    if e < 0:
+        m, e = m * 10**-e, 0
+    scale = 10**e
+    period = scale // math.gcd(m, scale)
+    if m >= 2**52 or period > max_period:
+        return None
+    # Only the fraction of j = 0 is zero, and its text is ".0".
+    fmt = f".%0{e}d"
+    texts = [(fmt % (jm % scale)).rstrip("0") for jm in range(0, period * m, m)]
+    texts[0] = ".0"
+    return m, e, np.array(texts, dtype=object) + ","
+
+
+def _time_texts(t: np.ndarray, first_row: int, grid: tuple[int, int, np.ndarray]) -> tuple[list, list]:
+    """The two pieces of each value of a chunk of the time column, whose
+    first value is row first_row: on the grid, the whole part and the
+    fraction with its comma; off it, the repr and the comma."""
+    m, e, fractions = grid
+    # Row k is held to grid point j <= (2**52 - 1) // m: rows past that bound
+    # are on the grid only where their value is the bound's.
+    j = np.minimum(np.arange(first_row, first_row + len(t)), (2**52 - 1) // m)
+    jm = j * m
+    on = (t >= 1e-4) & ((jm / 10.0**e).view(np.uint64) == t.view(np.uint64))
+    # jm rises with k: each whole part gets one text per run of rows.
+    whole = jm // 10**e
+    start = np.ones(len(t), dtype=bool)
+    np.not_equal(whole[1:], whole[:-1], out=start[1:])
+    wholes = np.array(list(map(str, whole[start].tolist())), dtype=object)[np.cumsum(start) - 1]
+    fracs = fractions.take(j, mode="wrap")
+    off = np.flatnonzero(~on)
+    if len(off):
+        wholes[off] = list(map(repr, t[off].tolist()))
+        fracs[off] = ","
+    return wholes.tolist(), fracs.tolist()
+
+
+def _pieces(cols: list[np.ndarray], first_row: int, grid: tuple | None) -> list[str]:
     """Pieces whose join is the text of the rows of equal-length columns, at
-    least one row long, each row ended by a newline. The caller joins them
-    once this function's arrays are freed, so that they do not add to the
-    join's peak memory."""
+    least one row long, each row ended by a newline. The first column is a
+    time column whose first value is row first_row of the trace, and grid
+    its `_time_grid`. The caller joins the pieces once this function's
+    arrays are freed, so that they do not add to the join's peak memory."""
     block = np.vstack(cols)
     bits = block.view(np.uint64)
     changed = bits[:, 1:] != bits[:, :-1]
@@ -56,7 +130,12 @@ def _pieces(cols: list[np.ndarray]) -> list[str]:
     # text and the newline; without a tail, the last comma is the newline.
     width = 2 * lead + 2 if lead < ncols else 2 * ncols
     pieces = ([","] * (width - 1) + ["\n"]) * m
-    for i in range(lead):
+    reprs = range(lead)
+    if lead and grid is not None:
+        # The time column's two pieces take its slot and its comma's.
+        pieces[0::width], pieces[1::width] = _time_texts(block[0], first_row, grid)
+        reprs = range(1, lead)
+    for i in reprs:
         pieces[2 * i :: width] = map(repr, block[i].tolist())
     if lead == ncols:
         return pieces
@@ -88,10 +167,13 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     for name, c in zip(TRACE_COLUMNS, cols):
         if len(c) != n:
             raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
+    # Sixteen chunks' rows admit every dt of four decimals or fewer, 1e-4
+    # among them, and hold e at 12 or less: the table is at least 2**e long.
+    grid = _time_grid(float(trace.dt), 16 * CHUNK_ROWS)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):
-            fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols])))
+            fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols], start, grid)))
     meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 

@@ -166,6 +166,15 @@ def test_zero_sensor_delay_is_accepted():
             "[plant] initial_pressure_pa / tube_compliance_pa_per_m3 must be finite"
             " (the initial tube volume)",
         ),
+        # An infinite ratio of a key to its step used to raise OverflowError.
+        ({"run.dt_s": "1e-320"}, "[run] command_quantum_s must be a whole multiple of dt_s"),
+        ({"run.duration_s": "1e308"}, "[run] duration_s must be a whole multiple of dt_s"),
+        (
+            {"controller.window_s": "1e308"},
+            "[controller] window_s must be a whole multiple of command_quantum_s",
+        ),
+        ({"sensor.position_period_s": "1e308"}, "[sensor] position_period_s must be a whole multiple of dt_s"),
+        ({"sensor.pressure_delay_s": "1e308"}, "[sensor] pressure_delay_s must be a whole multiple of dt_s"),
     ],
 )
 def test_each_fault_names_its_key_and_rule(overrides, message):

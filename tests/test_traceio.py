@@ -71,11 +71,33 @@ def _dense(start: float, step: float | None, n: int) -> list[float]:
     return col[:n]
 
 
+# Step sizes m * 10**-e. The writer prints t from dt's decimal grid where
+# the grid's table of fractions is short: 5e-05 and 1e-05 (whose small t
+# repr prints in exponent form) and 1.234567e-4 have long tables and skip
+# it, 1e20 has e < 0 and m >= 2**52 and skips it too, and 6.25e-5 has a
+# grid value below 1e-4, which must not take it.
+_STEPS = (0.0, 5e-4, 1e-4, 6.25e-5, 5e-05, 1e-05, 0.1, 2.0, 1.5, 1.234567e-4, 1e20, 7.0)
+_step = st.shared(
+    st.sampled_from(_STEPS) | st.builds(lambda m, e: float(f"{m}e{-e}"), st.integers(1, 10**4), st.integers(-3, 8)),
+    key="dt",
+)
+_NUDGES = {
+    "up": lambda x: math.nextafter(x, math.inf),
+    "down": lambda x: math.nextafter(x, -math.inf),
+    "negative zero": lambda x: -0.0,
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    "-inf": lambda x: -math.inf,
+    "negated": lambda x: -x,
+}
+
+
 @st.composite
 def _columns(draw) -> list[list[float]]:
     """Eleven equal-length columns, each dense, constant, dense up to some
     row and constant after it, or drawn freely; sometimes every column
-    dense, or every column constant."""
+    dense, or every column constant. Sometimes t is arange(n) * dt for the
+    drawn dt, with a few rows nudged off its grid."""
     n = draw(st.integers(0, 40))
     every = draw(st.sampled_from(("dense", "constant", None)))
     cols = []
@@ -93,15 +115,22 @@ def _columns(draw) -> list[list[float]]:
             stop = draw(st.integers(1, max(n, 1)))
             col = col[:stop] + col[stop - 1 : stop] * (n - stop)
         cols.append(col)
+    if draw(st.booleans()):
+        dt = draw(_step)
+        cols[0] = [k * dt for k in range(n)]
+        moved = st.dictionaries(st.integers(0, n - 1), st.sampled_from(sorted(_NUDGES)), max_size=4) if n else st.just({})
+        for k, nudge in draw(moved).items():
+            cols[0][k] = _NUDGES[nudge](cols[0][k])
     return cols
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), cols=_columns())
+@given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), dt=_step, cols=_columns())
 # A dense leading t that stops changing mid-chunk, ahead of dense and
 # constant columns.
 @example(
     chunk_rows=7,
+    dt=0.1,
     cols=[[0.0, 0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3, 0.8]]
     + [[k * 1.5 for k in range(9)]] * 2
     + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
@@ -112,33 +141,51 @@ def _columns(draw) -> list[list[float]]:
 # in both chunks).
 @example(
     chunk_rows=7,
+    dt=0.5,
     cols=[[0.5] * 9]
     + [_dense(0.0, None, 9), [-0.0] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, math.nan, math.nan]] * 8,
 )
 @example(
     chunk_rows=7,
+    dt=0.5,
     cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
     + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
 )
-def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols):
-    trace = SimTrace(columns={name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)})
+# t on the grid of dt = 0.1, whose second chunk crosses a whole second;
+# 0.30000000000000004 and 0.7000000000000001 are off the grid.
+@example(chunk_rows=7, dt=0.1, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10)
+# The grid of dt = 6.25e-5 holds 6.25e-05 below 1e-4, which repr prints in
+# exponent form, and 0.000125 above it.
+@example(chunk_rows=traceio.CHUNK_ROWS, dt=6.25e-5, cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10)
+# m = 3002399751580331 < 2**52 but 3 * m = 2**53 + 1, whose nearest double
+# 2**53 has t[3]'s bits and prints as 9007199254740992.0: row 3 lies past
+# the k * m < 2**52 bound and must take repr.
+@example(chunk_rows=traceio.CHUNK_ROWS, dt=3002399751580331.0, cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10)
+def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, dt, cols):
+    columns = {name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)}
+    trace = SimTrace(columns=columns, dt=dt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
         _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
 
 
-def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path):
+@pytest.mark.parametrize("dt", [0.0, 1e-4, 7.0])
+def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, dt):
     # Dense t and ref ahead of columns that hold each value for four rows:
     # every row has its own text, so a writer that held the text of the
     # whole trace at once would need about ten times the memory on ten
-    # times the rows.
+    # times the rows. With dt = 0.0 the trace has no step size, and t,
+    # spaced 1e-4, takes repr; 1e-4 prints t from its grid, and 7.0 too,
+    # with a whole part of its own on every row.
     def write_peak(rows: int) -> int:
         rng = np.random.default_rng(7)
         columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
-        columns["t"] = np.arange(rows) * 1e-4
+        columns["t"] = np.arange(rows) * (dt or 1e-4)
         columns["ref"] = rng.standard_normal(rows)
-        trace = SimTrace(columns=columns)
+        trace = SimTrace(columns=columns, dt=dt)
+        # Each write builds its own table of fractions, as a first one would.
+        traceio._time_grid.cache_clear()
         tracemalloc.start()
         try:
             write_trace(trace, tmp_path / "trace.csv")
