@@ -29,8 +29,9 @@ or before the 10**-e digit lies at least 10**-e from c, more than one ulp
 of t while k * m < 2**52, so none of them reads back as t, and every
 decimal with a later last digit has more significant digits than c. So c
 is the shortest text that reads back as t, which is what repr prints, and
-between 1e-4 and 1e16 repr prints it in fixed notation. The test is made
-row by row, so a t column that is not arange(n) * dt is still written
+between 1e-4 and 1e16 repr prints it in fixed notation. A row past the
+bound is compared with the last grid value inside it instead. The test is
+made row by row, so a t column that is not arange(n) * dt is still written
 exactly. Every other row, -0.0, NaN, the infinities and negative values
 among them, prints as its repr and a comma; so does the whole column when
 dt has no usable grid (0.0, say).

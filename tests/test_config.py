@@ -173,7 +173,10 @@ def test_zero_sensor_delay_is_accepted():
             {"controller.window_s": "1e308"},
             "[controller] window_s must be a whole multiple of command_quantum_s",
         ),
-        ({"sensor.position_period_s": "1e308"}, "[sensor] position_period_s must be a whole multiple of dt_s"),
+        (
+            {"sensor.position_period_s": "1e308"},
+            "[sensor] position_period_s must be a whole multiple of dt_s",
+        ),
         ({"sensor.pressure_delay_s": "1e308"}, "[sensor] pressure_delay_s must be a whole multiple of dt_s"),
     ],
 )

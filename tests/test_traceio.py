@@ -77,10 +77,8 @@ def _dense(start: float, step: float | None, n: int) -> list[float]:
 # it, 1e20 has e < 0 and m >= 2**52 and skips it too, and 6.25e-5 has a
 # grid value below 1e-4, which must not take it.
 _STEPS = (0.0, 5e-4, 1e-4, 6.25e-5, 5e-05, 1e-05, 0.1, 2.0, 1.5, 1.234567e-4, 1e20, 7.0)
-_step = st.shared(
-    st.sampled_from(_STEPS) | st.builds(lambda m, e: float(f"{m}e{-e}"), st.integers(1, 10**4), st.integers(-3, 8)),
-    key="dt",
-)
+_decimal = st.builds(lambda m, e: float(f"{m}e{-e}"), st.integers(1, 10**4), st.integers(-3, 8))
+_step = st.shared(st.sampled_from(_STEPS) | _decimal, key="dt")
 _NUDGES = {
     "up": lambda x: math.nextafter(x, math.inf),
     "down": lambda x: math.nextafter(x, -math.inf),
@@ -118,8 +116,8 @@ def _columns(draw) -> list[list[float]]:
     if draw(st.booleans()):
         dt = draw(_step)
         cols[0] = [k * dt for k in range(n)]
-        moved = st.dictionaries(st.integers(0, n - 1), st.sampled_from(sorted(_NUDGES)), max_size=4) if n else st.just({})
-        for k, nudge in draw(moved).items():
+        rows = st.integers(0, max(n - 1, 0))
+        for k, nudge in draw(st.dictionaries(rows, st.sampled_from(sorted(_NUDGES)), max_size=min(n, 4))).items():
             cols[0][k] = _NUDGES[nudge](cols[0][k])
     return cols
 
@@ -161,7 +159,11 @@ def _columns(draw) -> list[list[float]]:
 # m = 3002399751580331 < 2**52 but 3 * m = 2**53 + 1, whose nearest double
 # 2**53 has t[3]'s bits and prints as 9007199254740992.0: row 3 lies past
 # the k * m < 2**52 bound and must take repr.
-@example(chunk_rows=traceio.CHUNK_ROWS, dt=3002399751580331.0, cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10)
+@example(
+    chunk_rows=traceio.CHUNK_ROWS,
+    dt=3002399751580331.0,
+    cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10,
+)
 def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, dt, cols):
     columns = {name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)}
     trace = SimTrace(columns=columns, dt=dt)
