@@ -30,7 +30,7 @@ from .experiments import (
 from .metrics import RunMetrics, compute_metrics
 from .orifice import OrificeModel, flow_factor, orifice_flow
 from .plant import HydraulicState, PlantModel, initial_state, plant_step
-from .reference import ReferenceSignal, reference_eval
+from .reference import ReferenceSignal, reference_column, reference_eval
 from .sensor import SensorModel, quantize, sensor_read
 from .sim import SimTrace, run_simulation, volume_ledger_error
 from .traceio import read_trace, write_trace
@@ -70,6 +70,7 @@ __all__ = [
     "quantize",
     "quasi_static_loop",
     "read_trace",
+    "reference_column",
     "reference_eval",
     "run_scenario",
     "run_simulation",

@@ -35,6 +35,11 @@ CONTROLLER_DOMAINS = {
 }
 CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
 
+# The most steps a run may take. A run allocates its time and reference
+# columns before its first step, and the eleven trace columns alone take 88
+# bytes a step: about 0.9 GB at this budget.
+MAX_STEPS = 10**7
+
 
 class ConfigError(Exception):
     """Raised with the full list of configuration faults."""
@@ -325,6 +330,9 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         # empty trace; a duration <= 0 already failed its range rule.
         if r.duration_s > 0.0 and not _is_multiple(r.duration_s, r.dt_s):
             errors.append("[run] duration_s must be a whole multiple of dt_s")
+        # round(ratio) > MAX_STEPS, and true of an infinite ratio too.
+        if r.duration_s / r.dt_s > MAX_STEPS + 0.5:
+            errors.append(f"[run] duration_s / dt_s must be at most {MAX_STEPS} steps")
         for key in ("sample_period_s", "window_s", "pi_period_s"):
             if not _is_multiple(getattr(c, key), r.command_quantum_s):
                 errors.append(f"[controller] {key} must be a whole multiple of command_quantum_s")

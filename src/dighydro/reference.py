@@ -1,15 +1,20 @@
 """Reference signal generators: constant, step sequence, and chirp sine.
 
-`chirp_phase` stays the public single-step definition of the chirp phase.
-`reference_eval` inlines its sweep branch (t <= sweep_time) on the per-step
-path; a differential test holds both branches bit for bit to the plain path.
+`reference_eval` gives the value at one time. `reference_column` gives the
+values over a whole non-decreasing time column at once, bit for bit those
+of `reference_eval`, so that the engine builds a run's reference before its
+loop. The chirp's sweep phase (t <= sweep_time) has one definition,
+`_sweep_phase`, which takes a float or an array of them alike; the sine is
+`math.sin` per element in both, since a vectorised sine need not match libm.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 CONSTANT = "constant"
 STEP_SEQUENCE = "step_sequence"
@@ -65,12 +70,19 @@ class ReferenceSignal:
                 raise ValueError("chirp f0 and f1 must not be NaN")
 
 
+def _sweep_phase(ref: ReferenceSignal, t):
+    """The chirp phase while sweeping, t <= sweep_time, for a float t or
+    elementwise for an array: the same IEEE operations in the same order."""
+    T = ref.sweep_time
+    return _TWO_PI * (ref.f0 * t + (ref.f1 - ref.f0) * t * t / (2.0 * T))
+
+
 def chirp_phase(ref: ReferenceSignal, t: float) -> float:
     """Chirp phase in radians; the instantaneous frequency is its derivative
     over 2*pi: f0 + (f1 - f0) * t / sweep_time while sweeping, f1 after."""
     T = ref.sweep_time
     if t <= T:
-        return _TWO_PI * (ref.f0 * t + (ref.f1 - ref.f0) * t * t / (2.0 * T))
+        return _sweep_phase(ref, t)
     phase_end = _TWO_PI * (ref.f0 * T + (ref.f1 - ref.f0) * T / 2.0)
     return phase_end + _TWO_PI * ref.f1 * (t - T)
 
@@ -80,13 +92,36 @@ def reference_eval(ref: ReferenceSignal, t: float) -> float:
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     if ref.kind == CHIRP_SINE:
-        T = ref.sweep_time
-        if t <= T:
-            # chirp_phase's sweep branch, inlined.
-            phase = _TWO_PI * (ref.f0 * t + (ref.f1 - ref.f0) * t * t / (2.0 * T))
-        else:
-            phase = chirp_phase(ref, t)
-        return 0.5 * (ref.lo + ref.hi) + 0.5 * (ref.hi - ref.lo) * math.sin(phase)
+        return 0.5 * (ref.lo + ref.hi) + 0.5 * (ref.hi - ref.lo) * math.sin(chirp_phase(ref, t))
     if ref.kind == STEP_SEQUENCE:
         return ref.levels[bisect_right(ref.times, t) - 1]
     return ref.value
+
+
+def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
+    """`reference_eval(ref, x)` for each x of the non-decreasing times t >= 0,
+    bit for bit, as a float64 array. No list of Python floats is built."""
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    if n and t[0] < 0.0:
+        raise ValueError(f"t must be >= 0, got {t[0]}")
+    if ref.kind == CHIRP_SINE:
+        # t is sorted, so the sweeping rows are a prefix.
+        j = bisect_right(t, ref.sweep_time)
+        # An overflowing phase is left to math.sin to refuse, as in reference_eval.
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = _sweep_phase(ref, t[:j])
+        if j < n:
+            hold = np.fromiter((chirp_phase(ref, x) for x in memoryview(t[j:])), float, n - j)
+            phase = np.concatenate((phase, hold))
+        col = np.fromiter(map(math.sin, memoryview(phase)), float, n)
+        # a + b * s, as reference_eval computes it; IEEE * and + commute.
+        col *= 0.5 * (ref.hi - ref.lo)
+        col += 0.5 * (ref.lo + ref.hi)
+        return col
+    if ref.kind == STEP_SEQUENCE:
+        # Level i holds from the first row at or after times[i]; a later
+        # step at the same time takes over at once, as bisect_right does.
+        starts = [bisect_left(t, x) for x in ref.times]
+        return np.repeat(np.asarray(ref.levels, dtype=float), np.diff(starts, append=n))
+    return np.full(n, ref.value, dtype=float)

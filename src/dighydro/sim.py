@@ -9,9 +9,14 @@ share of the window, floored to whole command quanta, and both commands off
 for the rest of the window.
 A run is strictly single-threaded and deterministic given its config.
 
-Each column is recorded where it can change, never more often:
-- per step: p_tube, tip_y, ref, sensed_pos, sensed_p and the booked volume
-  dv, as packed doubles; the sensors count their period and delay in whole
+The time column t = `arange(n_steps) * dt` (bitwise `k * dt`) and the
+reference column built from it by `reference_column` exist before the loop,
+since the reference never depends on the plant; a controller reads r from
+it only where a command quantum starts.
+
+Each other column is recorded where it can change, never more often:
+- per step: p_tube, tip_y, sensed_pos, sensed_p and the booked volume dv,
+  as packed doubles; the sensors count their period and delay in whole
   steps, so a read at step k indexes the p_tube or tip_y column directly and
   no time column is searched;
 - per command quantum: the hp_cmd/lp_cmd pair, which changes only where a
@@ -21,8 +26,8 @@ Each column is recorded where it can change, never more often:
   The engine steps the plant on every step, and a quiescent step hands a
   fixed point of the plant straight back (see `plant`), bit for bit as a
   full step would.
-After the loop, t is `arange(n_steps) * dt` (bitwise `k * dt`) and the
-quantum and move records are repeated out to one row per step.
+After the loop the quantum and move records are repeated out to one row
+per step.
 
 Sensor noise for the whole run is drawn up front in one
 `rng.standard_normal(n_steps * m)` call, m being the number of sensors with
@@ -45,7 +50,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .controllers import model_based_tick, pi_tick, switching_tick
 from .plant import plant_step
-from .reference import reference_eval
+from .reference import reference_column
 from .sensor import sensor_read
 
 TRACE_COLUMNS = (
@@ -124,11 +129,15 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa
 
+    t = np.arange(n_steps) * dt
+    ref_col = reference_column(ref, t)
+    refs = memoryview(ref_col)
+
     # Packed doubles, 8 bytes a value; the sensors index p_col and y_col by step.
-    per_step = ("ref", "p_tube", "tip_y", "sensed_pos", "sensed_p")
+    per_step = ("p_tube", "tip_y", "sensed_pos", "sensed_p")
     rows = {name: array("d") for name in per_step}
     p_col, y_col = rows["p_tube"], rows["tip_y"]
-    append_ref, append_p, append_y, append_sensed_pos, append_sensed_p = (
+    append_p, append_y, append_sensed_pos, append_sensed_p = (
         rows[name].append for name in per_step
     )
     dvs = array("d")
@@ -143,9 +152,9 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
 
     hp_cmd = lp_cmd = False
 
-    # plant_step, sensor_read, reference_eval and the controller ticks are
-    # looked up as module globals on every call, never bound to locals, so
-    # that wrapping them on this module sees every call.
+    # plant_step, sensor_read and the controller ticks are looked up as
+    # module globals on every call, never bound to locals, so that wrapping
+    # them on this module sees every call.
     for k in range(n_steps):
         append_p(state.p_tube)
         append_y(state.tip_y)
@@ -154,12 +163,12 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         sensed_pos = sensor_read(
             pos_sensor, y_col, k, draw(k * m + p_noisy) if pos_noisy else None
         )
-        r = reference_eval(ref, k * dt)
 
         # The commands change only here. Controllers absent from this run
         # are None; under PI the model-based inner loop tracks the PI output
         # instead of r.
         if k % quantum_steps == 0:
+            r = refs[k]
             if pi is not None and k % pi_steps == 0:
                 p_ref_inner, pi = pi_tick(pi, r - sensed_pos, cfg.controller.pi_period_s)
             if mb is not None and k % sample_steps == 0:
@@ -171,7 +180,6 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 hp_cmd, lp_cmd = pulse if k % window_steps < pulse_steps else (False, False)
             extend_cmds((hp_cmd, lp_cmd))
 
-        append_ref(r)
         append_sensed_pos(sensed_pos)
         append_sensed_p(sensed_p)
 
@@ -187,7 +195,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 clamp_events += 1
 
     columns = {name: np.asarray(vals, dtype=float) for name, vals in rows.items()}
-    columns["t"] = np.arange(n_steps) * dt
+    columns["t"], columns["ref"] = t, ref_col
     for name, vals in zip(("hp_cmd", "lp_cmd"), np.asarray(cmds).reshape(-1, 2).T):
         columns[name] = np.repeat(vals, quantum_steps)[:n_steps]
     held = np.diff(move_steps, append=n_steps)

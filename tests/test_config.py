@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dighydro import ConfigError, load_config, run_simulation, scenario_path
-from dighydro.config import apply_overrides, cross_validate, from_raw, read_raw
+from dighydro.config import MAX_STEPS, apply_overrides, cross_validate, from_raw, read_raw
 
 
 def test_bundled_scenarios_validate():
@@ -118,6 +118,18 @@ def test_duration_off_the_step_grid_is_rejected(text):
     with pytest.raises(ConfigError) as exc:
         load_config(scenario_path("step_unloaded_p1"), {"run.duration_s": text})
     assert "[run] duration_s must be a whole multiple of dt_s" in exc.value.errors
+
+
+@pytest.mark.parametrize("text", ["5000.0005", "1e9"])
+def test_run_above_the_step_budget_is_refused_by_name(text):
+    # 1e9 s at dt_s = 5e-4 is 2e12 steps: its columns, allocated before the
+    # first step, would fail with numpy's memory error, not a ConfigError.
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("chirp_matched"), {"run.duration_s": text})
+    assert exc.value.errors == [f"[run] duration_s / dt_s must be at most {MAX_STEPS} steps"]
+    # The budget itself is accepted (loaded only, not run).
+    cfg = load_config(scenario_path("chirp_matched"), {"run.duration_s": "5000"})
+    assert round(cfg.run.duration_s / cfg.run.dt_s) == MAX_STEPS
 
 
 @pytest.mark.parametrize(

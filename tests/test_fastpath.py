@@ -15,6 +15,7 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from dighydro import (
     ValveDynamics,
     load_config,
     model_based_tick,
+    reference_column,
     reference_eval,
     run_simulation,
     scenario_path,
@@ -195,6 +197,16 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
 @example(
     name="step_loaded",
     o={"plant.initial_pressure_pa": "1e5", "controller.duty": "0.2", "run.duration_s": "0.35"},
+)
+# A chirp that sweeps for 50 ms and then holds f1 for 50 ms: the one
+# reference column reaches both branches of the phase.
+@example(
+    name="chirp_matched",
+    o={
+        "reference.chirp_f1_hz": "20",
+        "reference.chirp_sweep_time_s": "0.05",
+        "run.duration_s": "0.1",
+    },
 )
 def test_memo_is_bit_identical_to_plain_path(name, o):
     _assert_matches_plain_path(name, o)
@@ -398,6 +410,54 @@ def test_reference_eval_is_bit_identical_to_plain_path(sig):
     fields, t = sig
     ours = reference_eval(ReferenceSignal(**fields), t)
     assert _bits(ours) == _bits(plain.reference_eval(plain.ReferenceSignal(**fields), t))
+
+
+@settings(max_examples=200)
+@given(
+    sig=signals(),
+    n=st.sampled_from([0, 1]) | st.integers(0, 3000),
+    dt=st.sampled_from([2.5e-4, 5e-4, 1e-3, 0.25]) | st.floats(1e-4, 0.1),
+)
+# Chirps whose rows cross the end of the sweep: row 120 of 200 sits exactly
+# at 30 s, and row 61 exactly at 61 * 5e-4 s, where the hold branch's phase
+# differs from the sweep branch's in the last bit.
+@example(sig=(_CHIRP, 0.0), n=200, dt=0.25)
+@example(sig=(dict(_CHIRP, sweep_time=61 * 5e-4), 0.0), n=200, dt=5e-4)
+# Steps on the grid (0.5 s; 0.0045 s, where row 9 is one ulp above it) and
+# between grid points (0.6 s; 0.00625 s).
+@example(
+    sig=({"kind": "step_sequence", "times": (0.0, 0.5, 0.6), "levels": (1.0, 2.0, 3.0)}, 0.0),
+    n=8, dt=0.25,
+)
+@example(
+    sig=({"kind": "step_sequence", "times": (0.0, 0.0045, 0.00625), "levels": (1.0, 2.0, 3.0)}, 0.0),
+    n=20, dt=5e-4,
+)
+# Two steps at one time: the later one holds from that time on.
+@example(
+    sig=({"kind": "step_sequence", "times": (0.0, 1.0, 1.0), "levels": (0.0, 4.0, -2.0)}, 0.0),
+    n=8, dt=0.25,
+)
+# Signed zeros keep their sign.
+@example(
+    sig=({"kind": "step_sequence", "times": (0.0, 0.5), "levels": (-0.0, 0.0)}, 0.0),
+    n=4, dt=0.25,
+)
+@example(sig=({"kind": "constant", "value": -0.0}, 0.0), n=3, dt=5e-4)
+# No rows, and one row.
+@example(sig=(_CHIRP, 0.0), n=0, dt=5e-4)
+@example(sig=({"kind": "step_sequence", "times": (0.0, 0.0), "levels": (1.0, 2.0)}, 0.0), n=0, dt=5e-4)
+@example(sig=({"kind": "constant", "value": 3.0}, 0.0), n=0, dt=5e-4)
+@example(sig=(_CHIRP, 0.0), n=1, dt=5e-4)
+@example(sig=({"kind": "step_sequence", "times": (0.0, 0.0), "levels": (1.0, 2.0)}, 0.0), n=1, dt=5e-4)
+@example(sig=({"kind": "constant", "value": 3.0}, 0.0), n=1, dt=5e-4)
+def test_reference_column_is_reference_eval_on_every_row(sig, n, dt):
+    # The engine builds the column over t = arange(n) * dt before its loop;
+    # each row must be the bits reference_eval gives at k * dt.
+    ref = ReferenceSignal(**sig[0])
+    col = reference_column(ref, np.arange(n) * dt)
+    assert col.dtype == np.float64 and len(col) == n
+    assert [_bits(x) for x in col.tolist()] == [_bits(reference_eval(ref, k * dt)) for k in range(n)]
 
 
 def test_draining_run_clamps_as_the_plain_path_does():

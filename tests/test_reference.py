@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from dighydro import ReferenceSignal, reference_eval
+from dighydro import ReferenceSignal, reference_column, reference_eval
 from dighydro.reference import chirp_phase
 
 
@@ -57,3 +58,5 @@ def test_invalid_signals_rejected():
         ReferenceSignal(kind="chirp_sine", lo=2e5, hi=1e5)
     with pytest.raises(ValueError):
         reference_eval(ReferenceSignal(), -1.0)
+    with pytest.raises(ValueError):
+        reference_column(ReferenceSignal(), np.array([-1.0, 0.0]))
