@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,11 @@ KINDS = (CONSTANT, STEP_SEQUENCE, CHIRP_SINE)
 
 # 2.0 * math.pi * x multiplies left to right, so this is the same product.
 _TWO_PI = 2.0 * math.pi
+
+# Rows per chunk of a chirp column: its temporaries stay at 32 KiB, below
+# malloc's mmap threshold, so freeing them does not raise that threshold and
+# push the engine's growing per-step arrays onto the heap.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -106,15 +112,17 @@ def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
     if n and t[0] < 0.0:
         raise ValueError(f"t must be >= 0, got {t[0]}")
     if ref.kind == CHIRP_SINE:
-        # t is sorted, so the sweeping rows are a prefix.
-        j = bisect_right(t, ref.sweep_time)
-        # An overflowing phase is left to math.sin to refuse, as in reference_eval.
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = _sweep_phase(ref, t[:j])
-        if j < n:
-            hold = np.fromiter((chirp_phase(ref, x) for x in memoryview(t[j:])), float, n - j)
-            phase = np.concatenate((phase, hold))
-        col = np.fromiter(map(math.sin, memoryview(phase)), float, n)
+        col = np.empty(n)
+        for a in range(0, n, _CHUNK):
+            chunk = t[a : a + _CHUNK]
+            # t is sorted, so the sweeping rows are a prefix.
+            j = bisect_right(chunk, ref.sweep_time)
+            # An overflowing phase is left to math.sin to refuse, as in reference_eval.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sweep = _sweep_phase(ref, chunk[:j])
+            hold = (chirp_phase(ref, x) for x in memoryview(chunk[j:]))
+            phase = chain(memoryview(sweep), hold)
+            col[a : a + len(chunk)] = np.fromiter(map(math.sin, phase), float, len(chunk))
         # a + b * s, as reference_eval computes it; IEEE * and + commute.
         col *= 0.5 * (ref.hi - ref.lo)
         col += 0.5 * (ref.lo + ref.hi)
