@@ -21,7 +21,7 @@ from .controllers import (
 from .orifice import OrificeModel
 from .plant import HydraulicState, PlantModel, initial_state
 from .reference import KINDS as REFERENCE_KINDS
-from .reference import ReferenceSignal
+from .reference import CHIRP_SINE, ReferenceSignal, chirp_phase_bound
 from .sensor import SensorModel
 from .tube import TipPositionMap, TubeModelLinear
 from .valve import ValveDynamics
@@ -35,9 +35,9 @@ CONTROLLER_DOMAINS = {
 }
 CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
 
-# The most steps a run may take. A run allocates its time and reference
-# columns before its first step, and the eleven trace columns alone take 88
-# bytes a step: about 0.9 GB at this budget.
+# The most steps a run may take, and the most pressure steps of a hysteresis
+# staircase. A run allocates eight of its trace columns before its first
+# step, and the eleven alone take 88 bytes a step: about 0.9 GB at this budget.
 MAX_STEPS = 10**7
 
 
@@ -323,12 +323,19 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
                 errors.append(f"[{section}] {key} must be {must_be}")
 
     r, p, c, m, s = cfg.run, cfg.plant, cfg.controller, cfg.tip_map, cfg.sensor
+    # The output files are named after the label, inside the output directory.
+    if r.label in ("", ".", "..") or "/" in r.label or "\\" in r.label:
+        errors.append("[run] label must be a file name without a path separator")
+    # The time of the run's last row, as the engine computes it, once known.
+    t_last = 0.0
     if r.dt_s > 0.0:
         if not _is_multiple(r.command_quantum_s, r.dt_s):
             errors.append("[run] command_quantum_s must be a whole multiple of dt_s")
         # Also rejects a duration shorter than one step, which would give an
         # empty trace; a duration <= 0 already failed its range rule.
-        if r.duration_s > 0.0 and not _is_multiple(r.duration_s, r.dt_s):
+        if _is_multiple(r.duration_s, r.dt_s):
+            t_last = (round(r.duration_s / r.dt_s) - 1) * r.dt_s
+        elif r.duration_s > 0.0:
             errors.append("[run] duration_s must be a whole multiple of dt_s")
         # round(ratio) > MAX_STEPS, and true of an infinite ratio too.
         if r.duration_s / r.dt_s > MAX_STEPS + 0.5:
@@ -368,13 +375,25 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         )
     else:
         try:
-            cfg.build_reference()
+            ref = cfg.build_reference()
         except ValueError as exc:
             errors.append(f"[reference] {exc}")
+        else:
+            # math.sin refuses an infinite phase, and a NaN one makes NaN.
+            if ref.kind == CHIRP_SINE and not math.isfinite(chirp_phase_bound(ref, t_last)):
+                errors.append(
+                    "[reference] chirp_f0_hz and chirp_f1_hz must keep the chirp phase"
+                    " finite over the run"
+                )
 
     h = cfg.hysteresis
     if 0.0 < h.pressure_max_pa < h.pressure_step_pa:
         errors.append("[hysteresis] pressure_step_pa must be <= pressure_max_pa")
+    # round(ratio) > MAX_STEPS, and true of an infinite ratio too.
+    if h.pressure_step_pa > 0.0 and h.pressure_max_pa / h.pressure_step_pa > MAX_STEPS + 0.5:
+        errors.append(
+            f"[hysteresis] pressure_max_pa / pressure_step_pa must be at most {MAX_STEPS} steps"
+        )
 
     return errors
 

@@ -4,8 +4,10 @@
 values over a whole non-decreasing time column at once, bit for bit those
 of `reference_eval`, so that the engine builds a run's reference before its
 loop. The chirp's sweep phase (t <= sweep_time) has one definition,
-`_sweep_phase`, which takes a float or an array of them alike; the sine is
-`math.sin` per element in both, since a vectorised sine need not match libm.
+`_sweep_phase`, which takes a float or an array of them alike; a chirp
+column applies it to the sweeping prefix of its times in numpy, and the sine
+is `math.sin` per element in both, since a vectorised sine need not match
+libm. `chirp_phase_bound` lets a config refuse a phase that can overflow.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ KINDS = (CONSTANT, STEP_SEQUENCE, CHIRP_SINE)
 
 # 2.0 * math.pi * x multiplies left to right, so this is the same product.
 _TWO_PI = 2.0 * math.pi
-
-# Rows per chunk of a chirp column: its temporaries stay at 32 KiB, below
-# malloc's mmap threshold, so freeing them does not raise that threshold and
-# push the engine's growing per-step arrays onto the heap.
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,21 @@ def chirp_phase(ref: ReferenceSignal, t: float) -> float:
     return phase_end + _TWO_PI * ref.f1 * (t - T)
 
 
+def chirp_phase_bound(ref: ReferenceSignal, t: float) -> float:
+    """A bound on abs(chirp_phase(ref, x)) over 0 <= x <= t, not finite
+    wherever such a phase may not be: the phase's own operations, in their
+    order, on abs(f0), abs(f1 - f0) and abs(f1). IEEE rounding is monotone,
+    so each result bounds the magnitude of its counterpart, and each branch
+    grows with x."""
+    T, f0, df, f1 = ref.sweep_time, abs(ref.f0), abs(ref.f1 - ref.f0), abs(ref.f1)
+    x = min(t, T)
+    sweep = _TWO_PI * (f0 * x + df * x * x / (2.0 * T))
+    if t <= T:
+        return sweep
+    # x = T > 0 and t > T here, so neither branch is NaN.
+    return max(sweep, _TWO_PI * (f0 * T + df * T / 2.0) + _TWO_PI * f1 * (t - T))
+
+
 def reference_eval(ref: ReferenceSignal, t: float) -> float:
     """Reference value at time t >= 0."""
     if t < 0.0:
@@ -112,17 +124,13 @@ def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
     if n and t[0] < 0.0:
         raise ValueError(f"t must be >= 0, got {t[0]}")
     if ref.kind == CHIRP_SINE:
-        col = np.empty(n)
-        for a in range(0, n, _CHUNK):
-            chunk = t[a : a + _CHUNK]
-            # t is sorted, so the sweeping rows are a prefix.
-            j = bisect_right(chunk, ref.sweep_time)
-            # An overflowing phase is left to math.sin to refuse, as in reference_eval.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sweep = _sweep_phase(ref, chunk[:j])
-            hold = (chirp_phase(ref, x) for x in memoryview(chunk[j:]))
-            phase = chain(memoryview(sweep), hold)
-            col[a : a + len(chunk)] = np.fromiter(map(math.sin, phase), float, len(chunk))
+        # t is sorted, so the sweeping rows are a prefix.
+        j = bisect_right(t, ref.sweep_time)
+        # An overflowing phase is left to math.sin to refuse, as in reference_eval.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep = _sweep_phase(ref, t[:j])
+        hold = (chirp_phase(ref, x) for x in memoryview(t[j:]))
+        col = np.fromiter(map(math.sin, chain(memoryview(sweep), hold)), float, n)
         # a + b * s, as reference_eval computes it; IEEE * and + commute.
         col *= 0.5 * (ref.hi - ref.lo)
         col += 0.5 * (ref.lo + ref.hi)

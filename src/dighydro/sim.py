@@ -14,20 +14,20 @@ reference column built from it by `reference_column` exist before the loop,
 since the reference never depends on the plant; a controller reads r from
 it only where a command quantum starts.
 
-Each other column is recorded where it can change, never more often:
-- per step: p_tube, tip_y, sensed_pos, sensed_p and the booked volume dv,
-  as packed doubles; the sensors count their period and delay in whole
-  steps, so a read at step k indexes the p_tube or tip_y column directly and
-  no time column is searched;
-- per command quantum: the hp_cmd/lp_cmd pair, which changes only where a
-  quantum starts;
+The other columns are recorded in two kinds of record:
+- per step: p_tube, tip_y, sensed_pos, sensed_p, hp_cmd, lp_cmd and the
+  booked volume dv, each stored by index, through a `memoryview`, into an
+  array allocated at its final size before the loop, which is then the
+  trace's column as it stands; the sensors count their period and delay in
+  whole steps, so a read at step k indexes the p_tube or tip_y column
+  directly and no time column is searched;
 - per move: v_tube and both armatures, with the step from which they hold,
-  each time `plant_step` returns a new state object instead of its input.
+  packed as four doubles onto one `bytearray` each time `plant_step`
+  returns a new state object instead of its input.
   The engine steps the plant on every step, and a quiescent step hands a
   fixed point of the plant straight back (see `plant`), bit for bit as a
-  full step would.
-After the loop the quantum and move records are repeated out to one row
-per step.
+  full step would. After the loop the move records are repeated out to one
+  row per step.
 
 Sensor noise for the whole run is drawn up front in one
 `rng.standard_normal(n_steps * m)` call, m being the number of sensors with
@@ -42,7 +42,7 @@ imports `numpy.random`, which costs a process several MiB and milliseconds.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,27 +129,22 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa
 
-    # In place, so that no temporary is freed: k * dt bitwise.
-    t = np.arange(n_steps, dtype=float)
-    t *= dt
+    # k * dt bitwise.
+    t = np.arange(n_steps) * dt
     ref_col = reference_column(ref, t)
     refs = memoryview(ref_col)
 
-    # Packed doubles, 8 bytes a value; the sensors index p_col and y_col by step.
-    per_step = ("p_tube", "tip_y", "sensed_pos", "sensed_p")
-    rows = {name: array("d") for name in per_step}
-    p_col, y_col = rows["p_tube"], rows["tip_y"]
-    append_p, append_y, append_sensed_pos, append_sensed_p = (
-        rows[name].append for name in per_step
+    # Every per-step column at its final size, written by index; the sensors
+    # index p_tube and tip_y by step.
+    per_step = ("p_tube", "tip_y", "sensed_pos", "sensed_p", "hp_cmd", "lp_cmd", "dv")
+    columns = {"t": t, "ref": ref_col, **{name: np.empty(n_steps) for name in per_step}}
+    p_col, y_col, sensed_pos_col, sensed_p_col, hp_col, lp_col, dv_col = (
+        memoryview(columns[name]) for name in per_step
     )
-    dvs = array("d")
-    append_dv = dvs.append
-    cmds = array("d")
-    extend_cmds = cmds.extend
-    # The step from which each state holds, and its v_tube and armatures.
-    move_steps = array("q", [0])
-    moves = array("d", [state.v_tube, state.hp_valve.armature, state.lp_valve.armature])
-    append_move_step, extend_moves = move_steps.append, moves.extend
+    # One record of four doubles per move: the step from which the state
+    # holds, its v_tube and its armatures.
+    pack = struct.Struct("4d").pack
+    moves = bytearray(pack(0, state.v_tube, state.hp_valve.armature, state.lp_valve.armature))
     clamp_events = 0
 
     hp_cmd = lp_cmd = False
@@ -158,13 +153,14 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     # module globals on every call, never bound to locals, so that wrapping
     # them on this module sees every call.
     for k in range(n_steps):
-        append_p(state.p_tube)
-        append_y(state.tip_y)
+        p_col[k] = state.p_tube
+        y_col[k] = state.tip_y
 
-        sensed_p = sensor_read(p_sensor, p_col, k, draw(k * m) if p_noisy else None)
+        sensed_p_col[k] = sensor_read(p_sensor, p_col, k, draw(k * m) if p_noisy else None)
         sensed_pos = sensor_read(
             pos_sensor, y_col, k, draw(k * m + p_noisy) if pos_noisy else None
         )
+        sensed_pos_col[k] = sensed_pos
 
         # The commands change only here. Controllers absent from this run
         # are None; under PI the model-based inner loop tracks the PI output
@@ -180,32 +176,25 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 if k % window_steps == 0:
                     pulse = switching_tick(sw, r - sensed_pos)
                 hp_cmd, lp_cmd = pulse if k % window_steps < pulse_steps else (False, False)
-            extend_cmds((hp_cmd, lp_cmd))
+        hp_col[k] = hp_cmd
+        lp_col[k] = lp_cmd
 
-        append_sensed_pos(sensed_pos)
-        append_sensed_p(sensed_p)
-
-        moved, dv = plant_step(plant, state, hp_cmd, lp_cmd, dt)
-        append_dv(dv)
+        moved, dv_col[k] = plant_step(plant, state, hp_cmd, lp_cmd, dt)
         # A fixed point comes back as the input object, and a clamped state
         # is never a fixed point, so every clamp is a move.
         if moved is not state:
             state = moved
-            append_move_step(k + 1)
-            extend_moves((state.v_tube, state.hp_valve.armature, state.lp_valve.armature))
+            moves += pack(k + 1, state.v_tube, state.hp_valve.armature, state.lp_valve.armature)
             if state.clamped:
                 clamp_events += 1
 
-    columns = {name: np.asarray(vals, dtype=float) for name, vals in rows.items()}
-    columns["t"], columns["ref"] = t, ref_col
-    for name, vals in zip(("hp_cmd", "lp_cmd"), np.asarray(cmds).reshape(-1, 2).T):
-        columns[name] = np.repeat(vals, quantum_steps)[:n_steps]
-    held = np.diff(move_steps, append=n_steps)
-    for name, vals in zip(("v_tube", "hp_arm", "lp_arm"), np.asarray(moves).reshape(-1, 3).T):
+    since, *held_vals = np.frombuffer(moves).reshape(-1, 4).T
+    held = np.diff(since, append=n_steps).astype(int)
+    for name, vals in zip(("v_tube", "hp_arm", "lp_arm"), held_vals):
         columns[name] = np.repeat(vals, held)
     return SimTrace(
         columns={name: columns[name] for name in TRACE_COLUMNS},
-        dv=np.asarray(dvs, dtype=float),
+        dv=columns["dv"],
         v_final=state.v_tube,
         clamp_events=clamp_events,
         control_domain=cfg.control_domain,

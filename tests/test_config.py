@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dighydro import ConfigError, load_config, run_simulation, scenario_path
+from dighydro import ConfigError, load_config, run_scenario, run_simulation, scenario_path
 from dighydro.config import MAX_STEPS, apply_overrides, cross_validate, from_raw, read_raw
 
 
@@ -158,6 +158,12 @@ def test_zero_sensor_delay_is_accepted():
     assert np.array_equal(trace["sensed_p"][::10], trace["p_tube"][::10])
 
 
+_CHIRP_PHASE = (
+    "[reference] chirp_f0_hz and chirp_f1_hz must keep the chirp phase finite over the run"
+)
+_LABEL = "[run] label must be a file name without a path separator"
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -190,6 +196,34 @@ def test_zero_sensor_delay_is_accepted():
             "[sensor] position_period_s must be a whole multiple of dt_s",
         ),
         ({"sensor.pressure_delay_s": "1e308"}, "[sensor] pressure_delay_s must be a whole multiple of dt_s"),
+        # Chirps whose phase overflows within 2 s, and math.sin(inf) raised
+        # a bare ValueError in the run: one sweeping to 1.7e308 Hz, and one
+        # from -8e307 to 8e307 Hz, where neither frequency overflows alone.
+        (
+            {
+                "reference.kind": "chirp_sine",
+                "reference.chirp_f1_hz": "1.7e308",
+                "run.duration_s": "2",
+            },
+            _CHIRP_PHASE,
+        ),
+        (
+            {
+                "reference.kind": "chirp_sine",
+                "reference.chirp_f0_hz": "-8e307",
+                "reference.chirp_f1_hz": "8e307",
+                "run.duration_s": "2",
+            },
+            _CHIRP_PHASE,
+        ),
+        # A 4e305-point staircase used to fail at numpy's allocation.
+        (
+            {"hysteresis.pressure_step_pa": "1e-300"},
+            f"[hysteresis] pressure_max_pa / pressure_step_pa must be at most {MAX_STEPS} steps",
+        ),
+        # The run's files are named after its label; this one wrote them
+        # into the output directory's parent.
+        ({"run.label": "../escaped"}, _LABEL),
     ],
 )
 def test_each_fault_names_its_key_and_rule(overrides, message):
@@ -238,6 +272,31 @@ def test_non_utf8_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert any(str(path) in e and "not UTF-8" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "out/run", "out\\run"])
+def test_label_with_a_path_is_refused(tmp_path, label):
+    with pytest.raises(ConfigError) as exc:
+        run_scenario(scenario_path("step_unloaded_p1"), tmp_path / "out", {"run.label": label})
+    assert exc.value.errors == [_LABEL]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("label", ["duty_50%", "café", "..a", "run.1"])
+def test_label_without_a_path_is_accepted(label):
+    assert load_config(scenario_path("step_unloaded_p1"), {"run.label": label}).run.label == label
+
+
+def test_staircase_budget_is_the_step_budget():
+    # 400 kPa in 0.04 Pa steps is 10^7 steps, the budget; 0.01 Pa would be
+    # a 4e7-point staircase walked in Python.
+    h = load_config(scenario_path("hysteresis"), {"hysteresis.pressure_step_pa": "0.04"}).hysteresis
+    assert round(h.pressure_max_pa / h.pressure_step_pa) == MAX_STEPS
+    with pytest.raises(ConfigError) as exc:
+        load_config(scenario_path("hysteresis"), {"hysteresis.pressure_step_pa": "0.01"})
+    assert exc.value.errors == [
+        f"[hysteresis] pressure_max_pa / pressure_step_pa must be at most {MAX_STEPS} steps"
+    ]
 
 
 def test_percent_is_literal(tmp_path):

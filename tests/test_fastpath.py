@@ -423,8 +423,8 @@ def test_reference_eval_is_bit_identical_to_plain_path(sig):
 # differs from the sweep branch's in the last bit.
 @example(sig=(_CHIRP, 0.0), n=200, dt=0.25)
 @example(sig=(dict(_CHIRP, sweep_time=61 * 5e-4), 0.0), n=200, dt=5e-4)
-# The column is built in chunks of 4096 rows; here the sweep ends at row
-# 5000, inside the second chunk.
+# A longer column whose sweep ends at row 5000 of 6000, so that a sixth of
+# it holds f1.
 @example(sig=(dict(_CHIRP, sweep_time=2.5), 0.0), n=6000, dt=5e-4)
 # Steps on the grid (0.5 s; 0.0045 s, where row 9 is one ulp above it) and
 # between grid points (0.6 s; 0.00625 s).

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dighydro import ReferenceSignal, reference_column, reference_eval
-from dighydro.reference import chirp_phase
+from dighydro.reference import chirp_phase, chirp_phase_bound
 
 
 def chirp():
@@ -36,6 +38,25 @@ def test_chirp_instantaneous_frequency_at_sweep_end():
     # after the sweep the frequency holds at f1
     f_after = (chirp_phase(ref, T + 2 + h) - chirp_phase(ref, T + 2)) / (2 * math.pi * h)
     assert f_after == pytest.approx(ref.f1, rel=1e-5)
+
+
+_HZ = st.floats(-1e308, 1e308) | st.sampled_from([0.0, 1.0, -1.0, 8e307, -8e307, 1.7e308])
+
+
+@given(
+    f0=_HZ,
+    f1=_HZ,
+    sweep_time=st.floats(1e-3, 1e3),
+    t=st.floats(0.0, 1e4),
+    share=st.floats(0.0, 1.0),
+)
+# The hold branch, reached only after the sweep.
+@example(f0=-3.0, f1=2.0, sweep_time=1.0, t=5.0, share=1.0)
+def test_phase_bound_dominates_every_earlier_phase(f0, f1, sweep_time, t, share):
+    ref = ReferenceSignal(kind="chirp_sine", f0=f0, f1=f1, sweep_time=sweep_time)
+    bound = chirp_phase_bound(ref, t)
+    if math.isfinite(bound):
+        assert abs(chirp_phase(ref, t * share)) <= bound
 
 
 def test_steps_are_right_continuous():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,24 @@ def test_identical_configs_give_identical_traces(scenario_run):
     trace_b = run_simulation(cfg)
     for name in trace_a.columns:
         assert np.array_equal(trace_a[name], trace_b[name]), name
+
+
+def test_engine_writes_each_column_into_its_final_array(scenario_run):
+    # Each per-step column is allocated at its final size and written by
+    # index, so a run holds little more than what it returns. Columns grown
+    # by append and copied out after the loop read 1.034 here.
+    cfg, _ = scenario_run("step_unloaded_p1")
+    tracemalloc.start()
+    try:
+        trace = run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_steps = round(cfg.run.duration_s / cfg.run.dt_s)
+    returned = [*trace.columns.values(), trace.dv]
+    for col in returned:
+        assert col.dtype == np.float64 and col.flags.c_contiguous and col.shape == (n_steps,)
+    assert peak <= 1.02 * sum(col.nbytes for col in returned)
 
 
 def test_volume_ledger_is_exact(scenario_run):
