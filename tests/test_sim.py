@@ -137,8 +137,8 @@ def test_identical_configs_give_identical_traces(scenario_run):
 
 def test_engine_writes_each_column_into_its_final_array(scenario_run):
     # Each per-step column is allocated at its final size and written by
-    # index, so a run holds little more than what it returns. Columns grown
-    # by append and copied out after the loop read 1.034 here.
+    # index, so a run holds little more than what it returns; columns grown
+    # by append and copied out after the loop would read 1.034.
     cfg, _ = scenario_run("step_unloaded_p1")
     tracemalloc.start()
     try:
