@@ -34,7 +34,7 @@ from .reference import ReferenceSignal, reference_column, reference_eval
 from .sensor import SensorModel, quantize, sensor_read
 from .sim import SimTrace, run_simulation, volume_ledger_error
 from .traceio import read_trace, write_trace
-from .tube import TipPositionMap, TubeModelLinear, play_update, tip_position, tube_pressure
+from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
 from .valve import ValveDynamics, valve_step
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "pi_tick",
     "plant_step",
     "play_loop_area",
-    "play_update",
     "quantize",
     "quasi_static_loop",
     "read_trace",

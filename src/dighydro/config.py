@@ -1,7 +1,8 @@
 """Scenario configuration: flat INI-style files with one section per subsystem.
 
 Every key is declared once, as a field of its section dataclass: its type,
-its default and, through _positive or _nonneg, its single-key range rule.
+its default and, through _positive, _nonneg or _level, its single-key range
+rule: a sign, a bound on the magnitude of a signal level, or both.
 Unknown sections or keys are hard errors so a sweep cannot silently mutate a
 misspelled parameter. Validation collects every fault before raising, not
 just the first.
@@ -40,6 +41,18 @@ CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
 # step, and the eleven alone take 88 bytes a step: about 0.9 GB at this budget.
 MAX_STEPS = 10**7
 
+# The largest magnitude of a signal level: a reference value, the initial
+# pressure, a tip position limit or a sensor's noise spread. The difference
+# of two levels, a tracking error where the output rests at its initial
+# value or a limit, is at most 2e150, and its square summed over MAX_STEPS
+# steps, 4e307, stays finite; a noise spread times a standard normal draw
+# stays far inside the float range.
+MAX_LEVEL = 1e150
+
+# A run's files are named after its label, the longest with this suffix;
+# 255 bytes is the longest file name that common file systems take.
+MAX_LABEL_BYTES = 255 - len("_trace.csv.meta.json")
+
 
 class ConfigError(Exception):
     """Raised with the full list of configuration faults."""
@@ -57,6 +70,12 @@ def _positive(default):
 def _nonneg(default):
     """A field whose value must be >= 0."""
     return field(default=default, metadata={"must_be": ">= 0"})
+
+
+def _level(default, must_be=None):
+    """A signal level, or a tuple of them: at most MAX_LEVEL in magnitude
+    and, with must_be, in that range too."""
+    return field(default=default, metadata={"must_be": must_be, "level": True})
 
 
 @dataclass
@@ -79,15 +98,15 @@ class PlantSection:
     valve_delay_s: float = _nonneg(1e-3)
     valve_movement_time_s: float = _nonneg(2e-3)
     valve_sticking_time_s: float = _nonneg(1e-3)
-    initial_pressure_pa: float = _nonneg(0.0)
+    initial_pressure_pa: float = _level(0.0, ">= 0")
 
 
 @dataclass
 class TipMapSection:
     gain_mm_per_pa: float = _nonneg(2e-5)
     offset_mm: float = 0.0
-    saturation_lo_mm: float = -100.0
-    saturation_hi_mm: float = 100.0
+    saturation_lo_mm: float = _level(-100.0)
+    saturation_hi_mm: float = _level(100.0)
     play_width_pa: float = _nonneg(0.0)
 
 
@@ -113,13 +132,13 @@ class ControllerSection:
 @dataclass
 class ReferenceSection:
     kind: str = "constant"
-    value: float = 0.0
+    value: float = _level(0.0)
     step_times_s: tuple = (0.0,)
-    step_levels: tuple = (0.0,)
+    step_levels: tuple = _level((0.0,))
     chirp_f0_hz: float = 0.0
     chirp_f1_hz: float = 1.0
-    chirp_lo: float = 150e3
-    chirp_hi: float = 250e3
+    chirp_lo: float = _level(150e3)
+    chirp_hi: float = _level(250e3)
     chirp_sweep_time_s: float = 30.0
 
 
@@ -128,14 +147,14 @@ class SensorSection:
     pressure_period_s: float = _positive(5e-3)
     pressure_delay_s: float = _nonneg(4e-3)
     pressure_quantization_pa: float = _nonneg(0.0)
-    pressure_noise_std_pa: float = _nonneg(0.0)
+    pressure_noise_std_pa: float = _level(0.0, ">= 0")
     # Vision tip tracker: update rate is an assumption, only the CAN timing
     # (5 ms period + 4 ms delay) is known; quantization from 800 px over an
     # 80 mm field of view.
     position_period_s: float = _positive(5e-2)
     position_delay_s: float = _nonneg(9e-3)
     position_quantization_mm: float = _nonneg(0.1)
-    position_noise_std_mm: float = _nonneg(0.0)
+    position_noise_std_mm: float = _level(0.0, ">= 0")
 
 
 @dataclass
@@ -197,25 +216,20 @@ class ScenarioConfig:
             sweep_time=r.chirp_sweep_time_s,
         )
 
+    def _sensor(self, period: float, delay: float, q: float, noise_std: float) -> SensorModel:
+        """A sensor whose period and delay, given in seconds, count whole steps."""
+        dt = self.run.dt_s
+        return SensorModel(round(period / dt), round(delay / dt), q, noise_std)
+
     def build_pressure_sensor(self) -> SensorModel:
         s = self.sensor
-        dt = self.run.dt_s
-        return SensorModel(
-            sample_steps=round(s.pressure_period_s / dt),
-            delay_steps=round(s.pressure_delay_s / dt),
-            quantization=s.pressure_quantization_pa,
-            noise_std=s.pressure_noise_std_pa,
-        )
+        q, noise_std = s.pressure_quantization_pa, s.pressure_noise_std_pa
+        return self._sensor(s.pressure_period_s, s.pressure_delay_s, q, noise_std)
 
     def build_position_sensor(self) -> SensorModel:
         s = self.sensor
-        dt = self.run.dt_s
-        return SensorModel(
-            sample_steps=round(s.position_period_s / dt),
-            delay_steps=round(s.position_delay_s / dt),
-            quantization=s.position_quantization_mm,
-            noise_std=s.position_noise_std_mm,
-        )
+        q, noise_std = s.position_quantization_mm, s.position_noise_std_mm
+        return self._sensor(s.position_period_s, s.position_delay_s, q, noise_std)
 
     def build_model_based_controller(self) -> ModelBasedControllerState:
         c = self.controller
@@ -317,15 +331,20 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         for key, f in keys.items():
             must_be = f.metadata.get("must_be")
             value = getattr(values, key)
-            if must_be is None or value is None:
+            if value is None:
                 continue
-            if not (value > 0 if must_be == "> 0" else value >= 0):
+            if must_be is not None and not (value > 0 if must_be == "> 0" else value >= 0):
                 errors.append(f"[{section}] {key} must be {must_be}")
+            levels = value if isinstance(value, tuple) else (value,)
+            if f.metadata.get("level") and not all(abs(x) <= MAX_LEVEL for x in levels):
+                errors.append(f"[{section}] {key} must be at most {MAX_LEVEL:g} in magnitude")
 
     r, p, c, m, s = cfg.run, cfg.plant, cfg.controller, cfg.tip_map, cfg.sensor
     # The output files are named after the label, inside the output directory.
     if r.label in ("", ".", "..") or "/" in r.label or "\\" in r.label:
         errors.append("[run] label must be a file name without a path separator")
+    if len(r.label.encode("utf-8")) > MAX_LABEL_BYTES:
+        errors.append(f"[run] label must be at most {MAX_LABEL_BYTES} bytes in UTF-8")
     # The time of the run's last row, as the engine computes it, once known.
     t_last = 0.0
     if r.dt_s > 0.0:

@@ -1,20 +1,20 @@
 """Reference signal generators: constant, step sequence, and chirp sine.
 
-`reference_eval` gives the value at one time. `reference_column` gives the
-values over a whole non-decreasing time column at once, bit for bit those
-of `reference_eval`, so that the engine builds a run's reference before its
-loop. The chirp's sweep phase (t <= sweep_time) has one definition,
-`_sweep_phase`, which takes a float or an array of them alike; a chirp
-column applies it to the sweeping prefix of its times in numpy, and the sine
-is `math.sin` per element in both, since a vectorised sine need not match
-libm. `chirp_phase_bound` lets a config refuse a phase that can overflow.
+`reference_column` gives the values over a whole non-decreasing time column
+at once, so that the engine builds a run's reference before its loop;
+`reference_eval`, the value at one time, is row 0 of a one-row column. The
+chirp's sweep phase (t <= sweep_time), `_sweep_phase`, takes a float or an
+array alike; the column applies it to the sweeping prefix of its times in
+numpy and `chirp_phase` to the rest, and takes each sine with `math.sin`,
+since a vectorised sine need not match libm. `chirp_phase_bound` lets a
+config refuse a phase that can overflow.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -106,19 +106,13 @@ def chirp_phase_bound(ref: ReferenceSignal, t: float) -> float:
 
 
 def reference_eval(ref: ReferenceSignal, t: float) -> float:
-    """Reference value at time t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if ref.kind == CHIRP_SINE:
-        return 0.5 * (ref.lo + ref.hi) + 0.5 * (ref.hi - ref.lo) * math.sin(chirp_phase(ref, t))
-    if ref.kind == STEP_SEQUENCE:
-        return ref.levels[bisect_right(ref.times, t) - 1]
-    return ref.value
+    """Reference value at time t >= 0: row 0 of `reference_column(ref, [t])`."""
+    return reference_column(ref, [t])[0].item()
 
 
 def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
-    """`reference_eval(ref, x)` for each x of the non-decreasing times t >= 0,
-    bit for bit, as a float64 array. No list of Python floats is built."""
+    """The reference value at each of the non-decreasing times t >= 0, as a
+    float64 array. No list of Python floats is built."""
     t = np.asarray(t, dtype=float)
     n = len(t)
     if n and t[0] < 0.0:
@@ -126,12 +120,12 @@ def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
     if ref.kind == CHIRP_SINE:
         # t is sorted, so the sweeping rows are a prefix.
         j = bisect_right(t, ref.sweep_time)
-        # An overflowing phase is left to math.sin to refuse, as in reference_eval.
+        # An overflowing phase is left to math.sin to refuse.
         with np.errstate(over="ignore", invalid="ignore"):
             sweep = _sweep_phase(ref, t[:j])
         hold = (chirp_phase(ref, x) for x in memoryview(t[j:]))
         col = np.fromiter(map(math.sin, chain(memoryview(sweep), hold)), float, n)
-        # a + b * s, as reference_eval computes it; IEEE * and + commute.
+        # mid + amp * sin, in place; IEEE * and + commute.
         col *= 0.5 * (ref.hi - ref.lo)
         col += 0.5 * (ref.lo + ref.hi)
         return col

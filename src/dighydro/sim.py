@@ -33,10 +33,11 @@ Sensor noise for the whole run is drawn up front in one
 `rng.standard_normal(n_steps * m)` call, m being the number of sensors with
 noise_std > 0: per step, the pressure sensor's draw, then the position
 sensor's. That is bit for bit the stream of n_steps * m scalar draws in
-read order. Each read gets its draw as a Python float through a
-`memoryview` of the draws, not `ndarray.item`: the bits are the same, at
-under half the cost. A run with m = 0 builds no generator, so it never
-imports `numpy.random`, which costs a process several MiB and milliseconds.
+read order. Each noisy sensor indexes its own strided `memoryview` of the
+draws by step, `draws[0::m]` (pressure) or `draws[p_noisy::m]` (position),
+which gives a Python float with the bits of `ndarray.item` at under half
+the cost. A run with m = 0 builds no generator, so it never imports
+`numpy.random`, which costs a process several MiB and milliseconds.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
     pos_noisy = pos_sensor.noise_std > 0.0
     m = p_noisy + pos_noisy
     if m:
-        draws = np.random.default_rng(run.seed).standard_normal(n_steps * m)
-        draw = memoryview(draws).__getitem__
+        draws = memoryview(np.random.default_rng(run.seed).standard_normal(n_steps * m))
+        p_draws, pos_draws = draws[0::m], draws[p_noisy::m]
 
     kind = cfg.controller.kind
     mb = cfg.build_model_based_controller() if kind in ("pressure_model", "pi_pressure") else None
@@ -156,10 +157,8 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         p_col[k] = state.p_tube
         y_col[k] = state.tip_y
 
-        sensed_p_col[k] = sensor_read(p_sensor, p_col, k, draw(k * m) if p_noisy else None)
-        sensed_pos = sensor_read(
-            pos_sensor, y_col, k, draw(k * m + p_noisy) if pos_noisy else None
-        )
+        sensed_p_col[k] = sensor_read(p_sensor, p_col, k, p_draws[k] if p_noisy else None)
+        sensed_pos = sensor_read(pos_sensor, y_col, k, pos_draws[k] if pos_noisy else None)
         sensed_pos_col[k] = sensed_pos
 
         # The commands change only here. Controllers absent from this run

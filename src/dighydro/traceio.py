@@ -55,6 +55,9 @@ import numpy as np
 from .sim import CONTROL_DOMAINS, TRACE_COLUMNS, SimTrace
 
 CHUNK_ROWS = 1024
+# Sixteen chunks' rows admit every dt of four decimals or fewer, 1e-4
+# among them, and hold e at 12 or less: the table is at least 2**e long.
+MAX_PERIOD = 16 * CHUNK_ROWS
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -64,13 +67,13 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 @functools.lru_cache(maxsize=4)
-def _time_grid(dt: float, max_period: int) -> tuple[int, int, np.ndarray] | None:
+def _time_grid(dt: float) -> tuple[int, int, np.ndarray] | None:
     """The decimal grid of the step size dt, (m, e, fractions): repr(dt) is
     m * 10**-e, with m > 0 and e >= 0 as small as they can be, and
     fractions[j] is the text of the fraction of j * m / 10**e followed by
     the comma, such as ".0015," or ".0,". None where there is no grid: dt
     not positive and finite, m of 2**52 or more (only the first row would be
-    on it), or a table of fractions longer than max_period. Cached, as
+    on it), or a table of fractions longer than MAX_PERIOD. Cached, as
     every trace of a run set shares its dt."""
     if not (math.isfinite(dt) and dt > 0.0):
         return None
@@ -83,7 +86,7 @@ def _time_grid(dt: float, max_period: int) -> tuple[int, int, np.ndarray] | None
         m, e = m * 10**-e, 0
     scale = 10**e
     period = scale // math.gcd(m, scale)
-    if m >= 2**52 or period > max_period:
+    if m >= 2**52 or period > MAX_PERIOD:
         return None
     # Only the fraction of j = 0 is zero, and its text is ".0".
     fmt = f".%0{e}d"
@@ -168,9 +171,7 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     for name, c in zip(TRACE_COLUMNS, cols):
         if len(c) != n:
             raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
-    # Sixteen chunks' rows admit every dt of four decimals or fewer, 1e-4
-    # among them, and hold e at 12 or less: the table is at least 2**e long.
-    grid = _time_grid(float(trace.dt), 16 * CHUNK_ROWS)
+    grid = _time_grid(float(trace.dt))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):

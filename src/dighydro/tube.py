@@ -6,9 +6,9 @@ pressure-to-position map, optionally preceded by a play (backlash) operator
 so that up-sweeps and down-sweeps trace different branches, which is how the
 drive exhibits its pressure/position hysteresis loop.
 
-`play_update` stays the public single-step definition of the play operator.
-`tip_position` inlines it, and the saturation clamp, on the per-step path;
-a differential test holds it bit for bit to the plain composition.
+`tip_position` is the one definition of the play operator, whose output
+follows the input once the input has moved more than the play width away;
+a differential test holds it bit for bit to the seed copy's composition.
 """
 
 from __future__ import annotations
@@ -63,16 +63,6 @@ class TipPositionMap:
             raise ValueError("saturation bounds must satisfy sat_lo <= sat_hi")
 
 
-def play_update(play_out: float, p: float, width: float) -> float:
-    """Advance the play operator; `play_out` is the lagged effective pressure.
-
-    The operator output follows the input once the input has moved more than
-    `width` away from it, i.e. it is the rate-independent backlash primitive.
-    The invariant |p - play_out| <= width holds after every update.
-    """
-    return min(max(play_out, p - width), p + width)
-
-
 def tip_position(tmap: TipPositionMap, p: float, play_out: float) -> tuple[float, float]:
     """Tip Y position in mm for pressure p, given the play operator state.
 
@@ -81,9 +71,9 @@ def tip_position(tmap: TipPositionMap, p: float, play_out: float) -> tuple[float
     """
     if p < 0.0:
         raise ValueError(f"pressure must be >= 0, got {p}")
-    # play_update and the saturation clamp, inlined: `b if b > a else a` is
-    # exactly max(a, b) and `b if b < a else a` exactly min(a, b), NaN and
-    # signed zeros included.
+    # The play operator, min(max(play_out, p - width), p + width), and the
+    # saturation clamp: `b if b > a else a` is exactly max(a, b) and
+    # `b if b < a else a` exactly min(a, b), NaN and signed zeros included.
     width = tmap.play_width
     lo = p - width
     w = lo if lo > play_out else play_out

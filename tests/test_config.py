@@ -1,8 +1,35 @@
+import math
+import sys
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dighydro import ConfigError, load_config, run_scenario, run_simulation, scenario_path
-from dighydro.config import MAX_STEPS, apply_overrides, cross_validate, from_raw, read_raw
+from dighydro import (
+    BUNDLED_SCENARIOS,
+    ConfigError,
+    compute_metrics,
+    load_config,
+    loop_area,
+    quasi_static_loop,
+    run_scenario,
+    run_simulation,
+    scenario_path,
+)
+from dighydro.config import (
+    KEYS,
+    MAX_LABEL_BYTES,
+    MAX_LEVEL,
+    MAX_STEPS,
+    apply_overrides,
+    cross_validate,
+    from_raw,
+    read_raw,
+)
+from dighydro.experiments import settle_band
 
 
 def test_bundled_scenarios_validate():
@@ -216,6 +243,31 @@ _LABEL = "[run] label must be a file name without a path separator"
             },
             _CHIRP_PHASE,
         ),
+        # A chirp whose span overflows: its column was inf * sin, with a
+        # RuntimeWarning and NaN rows, and the run "completed".
+        (
+            {
+                "reference.kind": "chirp_sine",
+                "reference.chirp_lo": "-1.7e308",
+                "reference.chirp_hi": "1.7e308",
+                "run.duration_s": "0.5",
+            },
+            "[reference] chirp_hi must be at most 1e+150 in magnitude",
+        ),
+        # Levels whose tracking error's square overflowed in compute_metrics,
+        # and a noise spread that made the sensed column inf.
+        (
+            {"plant.initial_pressure_pa": "1e300"},
+            "[plant] initial_pressure_pa must be at most 1e+150 in magnitude",
+        ),
+        (
+            {"reference.step_levels": "0.0, -1e300"},
+            "[reference] step_levels must be at most 1e+150 in magnitude",
+        ),
+        (
+            {"sensor.position_noise_std_mm": "1.7e308"},
+            "[sensor] position_noise_std_mm must be at most 1e+150 in magnitude",
+        ),
         # A 4e305-point staircase used to fail at numpy's allocation.
         (
             {"hysteresis.pressure_step_pa": "1e-300"},
@@ -286,6 +338,27 @@ def test_label_without_a_path_is_accepted(label):
     assert load_config(scenario_path("step_unloaded_p1"), {"run.label": label}).run.label == label
 
 
+# A 300-character label ran the whole simulation, then failed to open its
+# trace with OSError: File name too long. Bytes count, not characters.
+@pytest.mark.parametrize(
+    "label", ["x" * 300, "x" * (MAX_LABEL_BYTES + 1), "é" * 118], ids=["300x", "236x", "118é"]
+)
+def test_label_too_long_for_its_file_names_is_refused(tmp_path, label):
+    with pytest.raises(ConfigError) as exc:
+        run_scenario(scenario_path("step_unloaded_p1"), tmp_path / "out", {"run.label": label})
+    assert exc.value.errors == [f"[run] label must be at most {MAX_LABEL_BYTES} bytes in UTF-8"]
+    assert not any(tmp_path.iterdir())
+
+
+# Both labels are MAX_LABEL_BYTES long in UTF-8.
+@pytest.mark.parametrize("label", ["x" * MAX_LABEL_BYTES, "é" * 117 + "x"], ids=["235x", "117éx"])
+def test_label_at_the_bound_writes_its_files(tmp_path, label):
+    o = {"run.label": label, "run.duration_s": "0.05"}
+    trace_path, metrics_path, _, _ = run_scenario(scenario_path("step_unloaded_p1"), tmp_path, o)
+    assert trace_path.is_file() and metrics_path.is_file()
+    assert max(len(p.name.encode("utf-8")) for p in tmp_path.iterdir()) == 255
+
+
 def test_staircase_budget_is_the_step_budget():
     # 400 kPa in 0.04 Pa steps is 10^7 steps, the budget; 0.01 Pa would be
     # a 4e7-point staircase walked in Python.
@@ -337,3 +410,87 @@ def test_controller_copies_are_independent_of_plant():
     mb = cfg.build_model_based_controller()
     assert plant.hp_orifice.k_v != mb.hp_orifice.k_v
     assert plant.lp_orifice.k_v != mb.lp_orifice.k_v
+
+
+# A short run: half a second of each bundled scenario, five switching
+# windows, and no run longer than SHORT_STEPS steps.
+SHORT = {"run.duration_s": "0.5"}
+SHORT_STEPS = 2000
+_EXTREMES = (5e-324, 2.2250738585072014e-308, 1e-300, MAX_LEVEL, 1e300, sys.float_info.max)
+
+
+def _in_range(must_be):
+    """Finite values of a key whose range rule is must_be (None: any sign);
+    hypothesis' floats take in tiny, subnormal and huge ones, the extremes
+    are drawn by name, and whole multiples and fractions of the bundled
+    0.5 ms step let the timing keys load."""
+    on_grid = st.integers(1, 4000).map(lambda k: k * 5e-4) | st.integers(1, 64).map(
+        lambda k: 5e-4 / k
+    )
+    if must_be is None:
+        return (
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([s * x for s in (1.0, -1.0) for x in _EXTREMES])
+            | on_grid
+        )
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    values = positive | st.sampled_from(_EXTREMES) | on_grid
+    return values if must_be == "> 0" else values | st.just(0.0)
+
+
+_NUMERIC = [
+    (section, key, f)
+    for section, keys in KEYS.items()
+    for key, f in keys.items()
+    if f.type in (int, float, float | None, tuple)
+]
+
+
+@st.composite
+def key_values(draw):
+    """A bundled scenario and one numeric key's value, as override text; a
+    tuple key gets as many values as the scenario has."""
+    name = draw(st.sampled_from(BUNDLED_SCENARIOS))
+    section, key, f = draw(st.sampled_from(_NUMERIC))
+    must_be = f.metadata.get("must_be")
+    if f.type is int:
+        return name, f"{section}.{key}", str(draw(st.integers(0, 2**64)))
+    if f.type is tuple:
+        n = len(getattr(getattr(load_config(scenario_path(name)), section), key))
+        values = draw(st.lists(_in_range(must_be), min_size=n, max_size=n))
+        return name, f"{section}.{key}", ", ".join(map(repr, values))
+    return name, f"{section}.{key}", repr(draw(_in_range(must_be)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kv=key_values())
+# Values that overflowed before signal levels were bounded: the squared
+# tracking error (the first two) and a sensed column (the last two).
+@example(kv=("chirp_matched", "plant.initial_pressure_pa", "1e300"))
+@example(kv=("chirp_matched", "reference.chirp_hi", "1e300"))
+@example(kv=("chirp_matched", "sensor.pressure_noise_std_pa", "1.7e308"))
+@example(kv=("step_unloaded_p1", "sensor.position_noise_std_mm", "1.7e308"))
+def test_any_value_of_any_key_is_refused_or_runs(kv):
+    # Every value load_config accepts gives a run that completes without a
+    # warning, with finite columns and metrics, and a finite hysteresis
+    # loop where its staircase is short.
+    name, dotted, text = kv
+    try:
+        cfg = load_config(scenario_path(name), {**SHORT, dotted: text})
+    except ConfigError:
+        return
+    r = cfg.run
+    if round(r.duration_s / r.dt_s) > SHORT_STEPS:
+        r.duration_s = SHORT_STEPS * r.dt_s
+    h = cfg.hysteresis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_simulation(cfg)
+        metrics = compute_metrics(trace, settle_band(cfg))
+        if round(h.pressure_max_pa / h.pressure_step_pa) <= SHORT_STEPS:
+            loop = quasi_static_loop(cfg.build_plant().tip_map, h.pressure_max_pa, h.pressure_step_pa)
+            assert all(np.isfinite(x).all() for x in loop) and math.isfinite(loop_area(*loop))
+    for column, values in trace.columns.items():
+        assert np.isfinite(values).all(), column
+    assert np.isfinite(trace.dv).all() and math.isfinite(trace.v_final)
+    assert all(math.isfinite(x) for x in astuple(metrics) if isinstance(x, float))

@@ -456,11 +456,14 @@ def test_reference_eval_is_bit_identical_to_plain_path(sig):
 @example(sig=({"kind": "constant", "value": 3.0}, 0.0), n=1, dt=5e-4)
 def test_reference_column_is_reference_eval_on_every_row(sig, n, dt):
     # The engine builds the column over t = arange(n) * dt before its loop;
-    # each row must be the bits reference_eval gives at k * dt.
-    ref = ReferenceSignal(**sig[0])
-    col = reference_column(ref, np.arange(n) * dt)
+    # each row must be the bits the seed copy's reference_eval gives at
+    # k * dt. (The package's reference_eval is row 0 of this column.)
+    col = reference_column(ReferenceSignal(**sig[0]), np.arange(n) * dt)
+    seed_ref = plain.ReferenceSignal(**sig[0])
     assert col.dtype == np.float64 and len(col) == n
-    assert [_bits(x) for x in col.tolist()] == [_bits(reference_eval(ref, k * dt)) for k in range(n)]
+    assert [_bits(x) for x in col.tolist()] == [
+        _bits(plain.reference_eval(seed_ref, k * dt)) for k in range(n)
+    ]
 
 
 def test_draining_run_clamps_as_the_plain_path_does():
