@@ -13,7 +13,10 @@ moving. A command that reverts while still in the delay phase is cancelled
 
 `valve_step` consumes the time step across phase boundaries, so the armature
 trajectory is the exact piecewise-linear one regardless of how the step grid
-aligns with the valve's own timing.
+aligns with the valve's own timing. It returns a valve at rest against the
+commanded end stop as itself, and any other as a new `ValveDynamics`, built
+by the generated dataclass `__init__`, whose `__post_init__` checks the
+timing parameters, the armature and the phase.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ class ValveDynamics:
     armature is dimensionless in [0, 1] (0 = closed seat, 1 = fully open).
     `timer` is the time left in the delaying/stuck phase; `pending_open`
     records which end stop the armature will head for once the delay runs out.
-
-    Like `HydraulicState`, the class keeps its own `__init__`, which fills
-    the instance dict in one update; it stays a frozen dataclass in every
-    other respect (`replace` calls this `__init__`).
+    Built by the generated dataclass `__init__` and checked in
+    `__post_init__`, like every value object but `HydraulicState`.
     """
 
     delay: float = 0.001
@@ -51,31 +52,13 @@ class ValveDynamics:
     timer: float = 0.0
     pending_open: bool = False
 
-    def __init__(
-        self,
-        delay: float = 0.001,
-        movement_time: float = 0.002,
-        sticking_time: float = 0.001,
-        armature: float = 0.0,
-        phase: str = CLOSED,
-        timer: float = 0.0,
-        pending_open: bool = False,
-    ) -> None:
-        if not (delay >= 0.0 and movement_time >= 0.0 and sticking_time >= 0.0):
+    def __post_init__(self) -> None:
+        if not (self.delay >= 0.0 and self.movement_time >= 0.0 and self.sticking_time >= 0.0):
             raise ValueError("valve time parameters must be >= 0")
-        if not 0.0 <= armature <= 1.0:
-            raise ValueError(f"armature must be in [0, 1], got {armature}")
-        if phase not in PHASES:
-            raise ValueError(f"unknown valve phase {phase!r}")
-        self.__dict__.update(
-            delay=delay,
-            movement_time=movement_time,
-            sticking_time=sticking_time,
-            armature=armature,
-            phase=phase,
-            timer=timer,
-            pending_open=pending_open,
-        )
+        if not 0.0 <= self.armature <= 1.0:
+            raise ValueError(f"armature must be in [0, 1], got {self.armature}")
+        if self.phase not in PHASES:
+            raise ValueError(f"unknown valve phase {self.phase!r}")
 
 
 def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
@@ -128,8 +111,6 @@ def valve_step(valve: ValveDynamics, command: bool, dt: float) -> ValveDynamics:
         arm = target
         phase = OPEN if moving_open else CLOSED
 
-    # The positional constructor runs the checks replace() would, at a
-    # fraction of its cost.
     return ValveDynamics(
         valve.delay, valve.movement_time, valve.sticking_time, arm, phase, timer, pending
     )

@@ -446,17 +446,34 @@ _NUMERIC = [
 ]
 
 
+# The scenarios the key-range test draws, by name: (bundled scenario, its
+# overrides). No bundled scenario runs the pi_pressure controller, so the
+# PI variant of step_unloaded_p1 that the step_position benchmark workload
+# runs is drawn too, with that workload's reference at seed 1.
+SCENARIOS = {name: (name, {}) for name in BUNDLED_SCENARIOS} | {
+    "step_unloaded_p1_pi": (
+        "step_unloaded_p1",
+        {
+            "controller.kind": "pi_pressure",
+            "reference.step_times_s": "0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0",
+            "reference.step_levels": "1.94, 6.93, 6.35, 2.79, 4.47, 4.15, 5.56, 6.52, 1.66, 1.20",
+        },
+    )
+}
+
+
 @st.composite
 def key_values(draw):
-    """A bundled scenario and one numeric key's value, as override text; a
-    tuple key gets as many values as the scenario has."""
-    name = draw(st.sampled_from(BUNDLED_SCENARIOS))
+    """A scenario of SCENARIOS and one numeric key's value, as override
+    text; a tuple key gets as many values as the scenario has."""
+    name = draw(st.sampled_from(list(SCENARIOS)))
     section, key, f = draw(st.sampled_from(_NUMERIC))
     must_be = f.metadata.get("must_be")
     if f.type is int:
         return name, f"{section}.{key}", str(draw(st.integers(0, 2**64)))
     if f.type is tuple:
-        n = len(getattr(getattr(load_config(scenario_path(name)), section), key))
+        base, overrides = SCENARIOS[name]
+        n = len(getattr(getattr(load_config(scenario_path(base), overrides), section), key))
         values = draw(st.lists(_in_range(must_be), min_size=n, max_size=n))
         return name, f"{section}.{key}", ", ".join(map(repr, values))
     return name, f"{section}.{key}", repr(draw(_in_range(must_be)))
@@ -475,8 +492,9 @@ def test_any_value_of_any_key_is_refused_or_runs(kv):
     # warning, with finite columns and metrics, and a finite hysteresis
     # loop where its staircase is short.
     name, dotted, text = kv
+    base, overrides = SCENARIOS[name]
     try:
-        cfg = load_config(scenario_path(name), {**SHORT, dotted: text})
+        cfg = load_config(scenario_path(base), {**overrides, **SHORT, dotted: text})
     except ConfigError:
         return
     r = cfg.run

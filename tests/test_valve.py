@@ -98,10 +98,12 @@ def test_rejects_nonpositive_dt_and_bad_params():
     v = ValveDynamics()
     with pytest.raises(ValueError):
         valve_step(v, True, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"valve time parameters must be >= 0"):
         ValveDynamics(delay=-1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"armature must be in \[0, 1\]"):
         ValveDynamics(armature=1.5)
+    with pytest.raises(ValueError, match=r"unknown valve phase 'ajar'"):
+        ValveDynamics(phase="ajar")
 
 
 @given(
