@@ -79,8 +79,12 @@ def run_scenario(
 
     Partial output files are removed if anything fails mid-run.
     """
-    cfg = load_config(config_path, overrides)
-    out_dir = Path(out_dir)
+    return _run(load_config(config_path, overrides), Path(out_dir))
+
+
+def _run(cfg: ScenarioConfig, out_dir: Path) -> tuple[Path, Path, RunMetrics, SimTrace]:
+    """Run the checked config `cfg` and write its three files into out_dir,
+    removing them if anything fails."""
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path, meta_path, metrics_path = _run_outputs(out_dir, cfg.run.label)
     with _removed_on_failure(trace_path, meta_path, metrics_path):
@@ -172,26 +176,25 @@ def sweep(
 
     Each run writes its own trace/metrics pair, labelled `<label>_<index>`
     so files never collide; the summary table keeps the given order.
-    Every value's config is loaded before the first run, so a bad value
-    raises ConfigError before any file is written; a failed run removes
-    every file the sweep wrote. `run.label` cannot be swept.
+    Every value's config is loaded and checked before the first run, so a
+    bad value raises ConfigError before any file is written, and those
+    checked configs are the ones run: the file is not read again. A failed
+    run removes every file the sweep wrote. `run.label` cannot be swept.
     """
     if parameter == "run.label":
         raise ConfigError(["[run] label cannot be swept: each run is labelled <label>_<index>"])
     base = dict(overrides or {})
     label = load_config(config_path, base).run.label
-    runs = [
-        {**base, parameter: value, "run.label": f"{label}_{i:03d}"}
+    cfgs = [
+        load_config(config_path, {**base, parameter: value, "run.label": f"{label}_{i:03d}"})
         for i, value in enumerate(values)
     ]
-    for run_overrides in runs:
-        load_config(config_path, run_overrides)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"{label}_sweep.csv"
-    outputs = [path for run in runs for path in _run_outputs(out_dir, run["run.label"])]
+    outputs = [path for cfg in cfgs for path in _run_outputs(out_dir, cfg.run.label)]
     with _removed_on_failure(table_path, *outputs):
-        rows = [run_scenario(config_path, out_dir, run)[2] for run in runs]
+        rows = [_run(cfg, out_dir)[2] for cfg in cfgs]
         header = ["value", *(f.name for f in fields(RunMetrics))]
         cells = [{**asdict(m), "settled": int(m.settled)}.values() for m in rows]
         _write_csv(table_path, header, ([value, *c] for value, c in zip(values, cells)))

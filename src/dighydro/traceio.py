@@ -39,7 +39,9 @@ dt has no usable grid (0.0, say).
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label, control domain and step size, which the
 CSV has no room for; `read_trace` reads it back, so metrics computed from a
-trace read from disk equal those of the run that wrote it.
+trace read from disk equal those of the run that wrote it. The writer
+checks the sidecar by the reader's rules before it writes either file, so
+every trace it writes reads back.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ def _pieces(cols: list[np.ndarray], first_row: int, grid: tuple | None) -> list[
 
 
 def write_trace(trace: SimTrace, path: str | Path) -> None:
-    """Write the trace CSV and its sidecar. A missing column, or one with
-    fewer rows than another, is a ValueError, and nothing is written."""
+    """Write the trace CSV and its sidecar. Checked before anything is
+    written, each a ValueError: a missing column, or one with fewer rows
+    than another, and the sidecar's label, control domain and step size
+    float(trace.dt), by the rules `read_trace` applies to them, so every
+    trace written reads back."""
     path = Path(path)
     for name in TRACE_COLUMNS:
         if name not in trace.columns:
@@ -171,37 +176,41 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     for name, c in zip(TRACE_COLUMNS, cols):
         if len(c) != n:
             raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
-    grid = _time_grid(float(trace.dt))
+    meta_path = sidecar_path(path)
+    meta = _checked_sidecar(
+        {"control_domain": trace.control_domain, "dt": float(trace.dt), "label": trace.label}, meta_path
+    )
+    grid = _time_grid(meta["dt"])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):
             fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols], start, grid)))
-    meta = {"control_domain": trace.control_domain, "dt": trace.dt, "label": trace.label}
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_trace(path: str | Path) -> SimTrace:
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}: {header}")
-        with warnings.catch_warnings():
-            # A header-only trace has no rows, which loadtxt warns about.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if tuple(header) != TRACE_COLUMNS:
+        raise ValueError(f"unexpected trace header in {path}: {header}")
+    with warnings.catch_warnings():
+        # A header-only trace has no rows, which loadtxt warns about.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
     if not table.size:
         table = table.reshape(0, len(TRACE_COLUMNS))
     if table.shape[1] != len(TRACE_COLUMNS):
         raise ValueError(f"malformed trace rows in {path}: {table.shape[1]} fields each")
     # Copies, not views: views of the table cost 4-5 % more peak memory.
     columns = {name: table[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
-    return SimTrace(columns=columns, **_read_sidecar(sidecar_path(path)))
+    meta_path = sidecar_path(path)
+    return SimTrace(columns=columns, **_checked_sidecar(json.loads(meta_path.read_text()), meta_path))
 
 
-def _read_sidecar(meta_path: Path) -> dict:
-    """The label, control domain and dt a sidecar holds, checked."""
-    meta = json.loads(meta_path.read_text())
+def _checked_sidecar(meta, meta_path: Path) -> dict:
+    """The label, control domain and dt of the sidecar dict meta, checked
+    by the rules both `write_trace` and `read_trace` apply."""
     if not isinstance(meta, dict):
         raise ValueError(f"trace sidecar {meta_path} is not a JSON object")
     for key in ("label", "control_domain", "dt"):

@@ -479,6 +479,7 @@ def key_values(draw):
     return name, f"{section}.{key}", repr(draw(_in_range(must_be)))
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(kv=key_values())
 # Values that overflowed before signal levels were bounded: the squared

@@ -8,6 +8,7 @@ from dighydro import (
     ConfigError,
     TipPositionMap,
     hysteresis_sweep,
+    load_config,
     loop_area,
     play_loop_area,
     quasi_static_loop,
@@ -134,6 +135,33 @@ def test_failed_sweep_leaves_no_files(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="mid-sweep"):
         sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8", "2e-8"], tmp_path, overrides)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_runs_the_configs_it_checked(tmp_path, monkeypatch):
+    import dighydro.experiments as exp
+
+    values = ["1e-8", "2e-8", "3e-8"]
+    overrides = {"run.duration_s": "0.05"}
+    _, unedited = sweep(scenario_path("hysteresis"), "plant.kv_hp", values, tmp_path / "a", overrides)
+
+    config = tmp_path / "hysteresis.cfg"
+    config.write_text(scenario_path("hysteresis").read_text())
+    loads = []
+
+    def counted_load(*args):
+        loads.append(args)
+        return load_config(*args)
+
+    def edit_then_run(cfg):
+        # A file rewritten after the up-front check does not reach the runs.
+        config.write_text("[run]\ndt_s = -1\n")
+        return run_simulation(cfg)
+
+    monkeypatch.setattr(exp, "load_config", counted_load)
+    monkeypatch.setattr(exp, "run_simulation", edit_then_run)
+    _, rows = sweep(config, "plant.kv_hp", values, tmp_path / "b", overrides)
+    assert rows == unedited
+    assert len(loads) == len(values) + 1
 
 
 class TestCli:

@@ -39,6 +39,8 @@ from dighydro import (
 from dighydro.config import CONTROLLER_KINDS
 from dighydro.sim import TRACE_COLUMNS
 
+pytestmark = pytest.mark.seeded
+
 SEED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "seedref" / "dighydro_seed"
 
 

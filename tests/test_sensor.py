@@ -100,6 +100,7 @@ def test_no_noise_leaves_the_quantized_value_bit_identical(x, q):
         assert struct.pack("<d", sensed) == expected
 
 
+@pytest.mark.seeded
 @given(
     x=st.floats(allow_nan=False),
     q=st.sampled_from([0.0, 0.5, 1e3, 5e-324]) | st.floats(0.0, 1e4),

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -122,6 +123,7 @@ def _columns(draw) -> list[list[float]]:
     return cols
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), dt=_step, cols=_columns())
 # A dense leading t that stops changing mid-chunk, ahead of dense and
@@ -305,3 +307,35 @@ def test_trace_without_sidecar_is_refused(tmp_path, scenario_run):
     traceio.sidecar_path(path).unlink()
     with pytest.raises(FileNotFoundError):
         read_trace(path)
+
+
+@pytest.mark.parametrize("dt", [1, np.float32(0.1), np.float64(5e-4)])
+def test_sidecar_round_trips_any_real_dt(tmp_path, dt):
+    columns = {name: np.arange(5) * float(dt) + i for i, name in enumerate(TRACE_COLUMNS)}
+    trace = SimTrace(columns=columns, control_domain="position", label="run", dt=dt)
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    back = read_trace(path)
+    for name in TRACE_COLUMNS:
+        assert back[name].tobytes() == columns[name].tobytes(), name
+    assert (back.label, back.control_domain) == ("run", "position")
+    assert type(back.dt) is float and back.dt == dt
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dt", math.nan), ("dt", -1e-3), ("control_domain", "force"), ("label", 3)],
+)
+def test_writer_refuses_a_sidecar_the_reader_would(tmp_path, field, value):
+    columns = {name: np.zeros(3) for name in TRACE_COLUMNS}
+    meta = {"control_domain": "pressure", "dt": 1e-3, "label": "run"}
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError) as written:
+        write_trace(SimTrace(columns=columns, **{**meta, field: value}), path)
+    assert not path.exists() and not traceio.sidecar_path(path).exists()
+    # The same fields in a sidecar on disk: read_trace gives the same message.
+    write_trace(SimTrace(columns=columns, **meta), path)
+    traceio.sidecar_path(path).write_text(json.dumps({**meta, field: value}))
+    with pytest.raises(ValueError) as read:
+        read_trace(path)
+    assert str(written.value) == str(read.value)

@@ -205,6 +205,7 @@ def test_valve_dynamics_init_is_the_dataclass_init():
     )
 
 
+@pytest.mark.seeded
 @given(
     commands=st.lists(st.booleans(), min_size=1, max_size=40),
     dt=st.sampled_from([1e-4, 5e-4, 1e-3, 2.5e-3]),

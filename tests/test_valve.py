@@ -106,6 +106,7 @@ def test_rejects_nonpositive_dt_and_bad_params():
         ValveDynamics(phase="ajar")
 
 
+@pytest.mark.seeded
 @given(
     commands=st.lists(st.booleans(), min_size=1, max_size=200),
     delay=st.floats(min_value=0.0, max_value=5e-3),
@@ -120,6 +121,7 @@ def test_armature_never_leaves_unit_interval(commands, delay, movement, sticking
         assert 0.0 <= v.armature <= 1.0
 
 
+@pytest.mark.seeded
 @given(
     commands=st.lists(st.booleans(), min_size=1, max_size=100),
     dt=st.floats(min_value=1e-4, max_value=2e-3),
