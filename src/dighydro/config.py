@@ -10,7 +10,8 @@ just the first.
 
 import configparser
 import math
-from dataclasses import Field, dataclass, field, fields
+import re
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from .controllers import (
@@ -35,6 +36,14 @@ CONTROLLER_DOMAINS = {
     "pi_pressure": "position",
 }
 CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
+
+# Control domain -> (the trace column its reference tracks, the [controller]
+# key of its settle band); "none" tracks nothing: zero error, a band of 0.
+DOMAIN_TRACKING = {
+    "none": (None, None),
+    "pressure": ("p_tube", "tolerance_pa"),
+    "position": ("tip_y", "threshold_mm"),
+}
 
 # The most steps a run may take, and the most pressure steps of a hysteresis
 # staircase. A run allocates eight of its trace columns before its first
@@ -115,7 +124,7 @@ class ControllerSection:
     kind: str = "none"
     tolerance_pa: float = _nonneg(10e3)
     sample_period_s: float = 5e-3
-    # Controller-side orifice copies; None (an empty value) inherits the plant's.
+    # The controller's own flow factors; None (an empty value) keeps the plant's.
     ctrl_kv_hp: float | None = _positive(None)
     ctrl_kv_lp: float | None = _positive(None)
     threshold_mm: float = _positive(0.5)
@@ -233,17 +242,16 @@ class ScenarioConfig:
 
     def build_model_based_controller(self) -> ModelBasedControllerState:
         c = self.controller
-        p = self.plant
-        kv_hp = p.kv_hp if c.ctrl_kv_hp is None else c.ctrl_kv_hp
-        kv_lp = p.kv_lp if c.ctrl_kv_lp is None else c.ctrl_kv_lp
+        plant = self.build_plant()
+        hp, lp = plant.hp_orifice, plant.lp_orifice
         state = ModelBasedControllerState(
-            tube=TubeModelLinear(c_a=p.tube_compliance_pa_per_m3),
-            hp_orifice=OrificeModel(k_v=kv_hp, p_tr=p.transition_pressure_pa),
-            lp_orifice=OrificeModel(k_v=kv_lp, p_tr=p.transition_pressure_pa),
+            tube=plant.tube,
+            hp_orifice=hp if c.ctrl_kv_hp is None else replace(hp, k_v=c.ctrl_kv_hp),
+            lp_orifice=lp if c.ctrl_kv_lp is None else replace(lp, k_v=c.ctrl_kv_lp),
             tolerance=c.tolerance_pa,
             sample_period=c.sample_period_s,
         )
-        return model_based_init(state, p.initial_pressure_pa)
+        return model_based_init(state, self.plant.initial_pressure_pa)
 
     def build_switching_controller(self) -> SwitchingControllerState:
         return SwitchingControllerState(threshold=self.controller.threshold_mm)
@@ -340,10 +348,11 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
                 errors.append(f"[{section}] {key} must be at most {MAX_LEVEL:g} in magnitude")
 
     r, p, c, m, s = cfg.run, cfg.plant, cfg.controller, cfg.tip_map, cfg.sensor
-    # The output files are named after the label, inside the output directory.
-    if r.label in ("", ".", "..") or "/" in r.label or "\\" in r.label:
-        errors.append("[run] label must be a file name without a path separator")
-    if len(r.label.encode("utf-8")) > MAX_LABEL_BYTES:
+    # The output files are named after the label, inside the output directory;
+    # no file name holds a NUL, and a lone surrogate has no UTF-8 encoding.
+    if r.label in ("", ".", "..") or re.search(r"[/\\\x00\ud800-\udfff]", r.label):
+        errors.append("[run] label must be a file name: no path separator, NUL or lone surrogate")
+    if len(r.label.encode("utf-8", "surrogatepass")) > MAX_LABEL_BYTES:
         errors.append(f"[run] label must be at most {MAX_LABEL_BYTES} bytes in UTF-8")
     # The time of the run's last row, as the engine computes it, once known.
     t_last = 0.0

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import DOMAIN_TRACKING, ConfigError, ScenarioConfig, load_config
 from .metrics import RunMetrics, compute_metrics, write_metrics
 from .sim import SimTrace, run_simulation
 from .traceio import sidecar_path, write_trace
@@ -36,13 +36,10 @@ def scenario_path(name: str) -> Path:
 
 
 def settle_band(cfg: ScenarioConfig) -> float:
-    """Band used for the settle-time metric: the pressure tolerance for
-    pressure runs, the switching threshold for position runs."""
-    if cfg.control_domain == "pressure":
-        return cfg.controller.tolerance_pa
-    if cfg.control_domain == "position":
-        return cfg.controller.threshold_mm
-    return 0.0
+    """Band used for the settle-time metric: the [controller] key that
+    config.DOMAIN_TRACKING names for the run's control domain, or 0."""
+    _, key = DOMAIN_TRACKING[cfg.control_domain]
+    return 0.0 if key is None else getattr(cfg.controller, key)
 
 
 @contextmanager
@@ -103,24 +100,20 @@ def quasi_static_loop(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tip position along an up-then-down pressure staircase over [0, p_max].
 
-    One full preconditioning cycle is run first so the recorded loop is the
-    closed steady-state one (the very first up-sweep from an uncommitted
-    play state traces a transient branch instead).
+    The cycle is walked twice, the second walk writing over the first's tips,
+    so the recorded loop is the closed steady-state one (the very first
+    up-sweep from an uncommitted play state traces a transient branch instead).
 
     Returns (pressures ascending, tip on the up branch, tip on the down branch).
     """
     n = round(p_max / p_step)
     grid = np.linspace(0.0, n * p_step, n + 1)
+    cycle = np.concatenate((grid, grid[::-1]))
+    tips = np.empty_like(cycle)
     play = 0.0
-    for p in list(grid) + list(grid[::-1]):
-        _, play = tip_position(tmap, float(p), play)
-    tip_up = np.empty_like(grid)
-    for i, p in enumerate(grid):
-        tip_up[i], play = tip_position(tmap, float(p), play)
-    tip_down = np.empty_like(grid)
-    for i, p in enumerate(grid[::-1]):
-        tip_down[n - i], play = tip_position(tmap, float(p), play)
-    return grid, tip_up, tip_down
+    for i, p in enumerate(memoryview(np.tile(cycle, 2))):
+        tips[i % len(cycle)], play = tip_position(tmap, p, play)
+    return grid, tips[: n + 1], tips[n + 1 :][::-1]
 
 
 def loop_area(pressures: np.ndarray, tip_up: np.ndarray, tip_down: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DOMAIN_TRACKING
 from .sim import SimTrace
 
 
@@ -24,13 +25,10 @@ class RunMetrics:
 
 
 def tracking_error(trace: SimTrace) -> np.ndarray:
-    """Reference minus tracked output: tube pressure for pressure-domain
-    runs, true tip position for position-domain runs, zeros otherwise."""
-    if trace.control_domain == "pressure":
-        return trace["ref"] - trace["p_tube"]
-    if trace.control_domain == "position":
-        return trace["ref"] - trace["tip_y"]
-    return np.zeros(len(trace))
+    """Reference minus the output that the trace's control domain tracks
+    (config.DOMAIN_TRACKING): zeros in the domain that tracks none."""
+    column, _ = DOMAIN_TRACKING[trace.control_domain]
+    return np.zeros(len(trace)) if column is None else trace["ref"] - trace[column]
 
 
 def _rising_edges(cmd: np.ndarray) -> int:

@@ -149,12 +149,10 @@ def plant_step(
 
     Returns (new_state, dv_applied) where dv_applied is the exact volume
     change booked into the tube this step (after any clamping at zero), so
-    callers can keep an exact conservation ledger.
+    callers can keep an exact conservation ledger. A dt that is not > 0
+    raises ValueError from the first `valve_step`, which takes the same dt.
     """
     global _fixed_point
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-
     hp_valve = valve_step(state.hp_valve, hp_cmd, dt)
     lp_valve = valve_step(state.lp_valve, lp_cmd, dt)
     fixed = _fixed_point

@@ -3,11 +3,11 @@
 `reference_column` gives the values over a whole non-decreasing time column
 at once, so that the engine builds a run's reference before its loop;
 `reference_eval`, the value at one time, is row 0 of a one-row column. The
-chirp's sweep phase (t <= sweep_time), `_sweep_phase`, takes a float or an
-array alike; the column applies it to the sweeping prefix of its times in
-numpy and `chirp_phase` to the rest, and takes each sine with `math.sin`,
-since a vectorised sine need not match libm. `chirp_phase_bound` lets a
-config refuse a phase that can overflow.
+chirp phase's sweep (t <= sweep_time) and hold branches are each written
+once, for a float t or an array alike: `chirp_phase` applies one to a time,
+the column both to slices in numpy, taking each sine with `math.sin` (a
+vectorised sine need not match libm), and `chirp_phase_bound`, by which a
+config refuses a phase that can overflow, both to absolute coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -73,36 +72,37 @@ class ReferenceSignal:
                 raise ValueError("chirp f0 and f1 must not be NaN")
 
 
-def _sweep_phase(ref: ReferenceSignal, t):
-    """The chirp phase while sweeping, t <= sweep_time, for a float t or
-    elementwise for an array: the same IEEE operations in the same order."""
-    T = ref.sweep_time
-    return _TWO_PI * (ref.f0 * t + (ref.f1 - ref.f0) * t * t / (2.0 * T))
+def _coefficients(ref: ReferenceSignal) -> tuple[float, float, float, float]:
+    return ref.f0, ref.f1 - ref.f0, ref.f1, ref.sweep_time
+
+
+def _sweep_phase(f0, df, f1, T, t):
+    """The chirp phase while sweeping, t <= T."""
+    return _TWO_PI * (f0 * t + df * t * t / (2.0 * T))
+
+
+def _hold_phase(f0, df, f1, T, t):
+    """The chirp phase after the sweep, t > T: the phase at T, then f1."""
+    return _TWO_PI * (f0 * T + df * T / 2.0) + _TWO_PI * f1 * (t - T)
 
 
 def chirp_phase(ref: ReferenceSignal, t: float) -> float:
     """Chirp phase in radians; the instantaneous frequency is its derivative
     over 2*pi: f0 + (f1 - f0) * t / sweep_time while sweeping, f1 after."""
-    T = ref.sweep_time
-    if t <= T:
-        return _sweep_phase(ref, t)
-    phase_end = _TWO_PI * (ref.f0 * T + (ref.f1 - ref.f0) * T / 2.0)
-    return phase_end + _TWO_PI * ref.f1 * (t - T)
+    branch = _sweep_phase if t <= ref.sweep_time else _hold_phase
+    return branch(*_coefficients(ref), t)
 
 
 def chirp_phase_bound(ref: ReferenceSignal, t: float) -> float:
     """A bound on abs(chirp_phase(ref, x)) over 0 <= x <= t, not finite
-    wherever such a phase may not be: the phase's own operations, in their
-    order, on abs(f0), abs(f1 - f0) and abs(f1). IEEE rounding is monotone,
-    so each result bounds the magnitude of its counterpart, and each branch
-    grows with x."""
-    T, f0, df, f1 = ref.sweep_time, abs(ref.f0), abs(ref.f1 - ref.f0), abs(ref.f1)
-    x = min(t, T)
-    sweep = _TWO_PI * (f0 * x + df * x * x / (2.0 * T))
-    if t <= T:
-        return sweep
-    # x = T > 0 and t > T here, so neither branch is NaN.
-    return max(sweep, _TWO_PI * (f0 * T + df * T / 2.0) + _TWO_PI * f1 * (t - T))
+    wherever such a phase may not be: the phase's own two branches on
+    abs(f0), abs(f1 - f0), abs(f1) and sweep_time > 0. IEEE rounding is
+    monotone, so each result bounds the magnitude of its counterpart, and
+    each branch grows with x."""
+    c = tuple(map(abs, _coefficients(ref)))
+    sweep = _sweep_phase(*c, min(t, ref.sweep_time))
+    # After the sweep, t > sweep_time > 0, so neither branch is NaN.
+    return sweep if t <= ref.sweep_time else max(sweep, _hold_phase(*c, t))
 
 
 def reference_eval(ref: ReferenceSignal, t: float) -> float:
@@ -120,11 +120,11 @@ def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:
     if ref.kind == CHIRP_SINE:
         # t is sorted, so the sweeping rows are a prefix.
         j = bisect_right(t, ref.sweep_time)
+        c = _coefficients(ref)
         # An overflowing phase is left to math.sin to refuse.
         with np.errstate(over="ignore", invalid="ignore"):
-            sweep = _sweep_phase(ref, t[:j])
-        hold = (chirp_phase(ref, x) for x in memoryview(t[j:]))
-        col = np.fromiter(map(math.sin, chain(memoryview(sweep), hold)), float, n)
+            phase = np.concatenate((_sweep_phase(*c, t[:j]), _hold_phase(*c, t[j:])))
+        col = np.fromiter(map(math.sin, memoryview(phase)), float, n)
         # mid + amp * sin, in place; IEEE * and + commute.
         col *= 0.5 * (ref.hi - ref.lo)
         col += 0.5 * (ref.lo + ref.hi)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import DOMAIN_TRACKING, ScenarioConfig
 from .controllers import model_based_tick, pi_tick, switching_tick
 from .plant import plant_step
 from .reference import reference_column
@@ -68,8 +68,8 @@ TRACE_COLUMNS = (
     "sensed_p",
 )
 
-# What a trace's tracking error is measured in (see metrics.tracking_error).
-CONTROL_DOMAINS = ("none", "pressure", "position")
+# What a trace's tracking error is measured in (see config.DOMAIN_TRACKING).
+CONTROL_DOMAINS = tuple(DOMAIN_TRACKING)
 
 
 @dataclass

@@ -43,6 +43,8 @@ def test_bundled_scenarios_validate():
     ):
         cfg = load_config(scenario_path(name))
         assert cfg.run.label == name
+    with pytest.raises(ValueError, match="unknown bundled scenario 'absent'"):
+        scenario_path("absent")
 
 
 def test_unknown_key_is_a_hard_error(tmp_path):
@@ -188,7 +190,7 @@ def test_zero_sensor_delay_is_accepted():
 _CHIRP_PHASE = (
     "[reference] chirp_f0_hz and chirp_f1_hz must keep the chirp phase finite over the run"
 )
-_LABEL = "[run] label must be a file name without a path separator"
+_LABEL = "[run] label must be a file name: no path separator, NUL or lone surrogate"
 
 
 @pytest.mark.parametrize(
@@ -268,6 +270,11 @@ _LABEL = "[run] label must be a file name without a path separator"
             {"sensor.position_noise_std_mm": "1.7e308"},
             "[sensor] position_noise_std_mm must be at most 1e+150 in magnitude",
         ),
+        (
+            {"reference.kind": "triangle"},
+            "[reference] kind must be one of ('constant', 'step_sequence', 'chirp_sine'),"
+            " got 'triangle'",
+        ),
         # A 4e305-point staircase used to fail at numpy's allocation.
         (
             {"hysteresis.pressure_step_pa": "1e-300"},
@@ -324,8 +331,12 @@ def test_non_utf8_file_is_a_config_error(tmp_path):
 
 
 # The run's files are named after its label; "../escaped" wrote them into
-# the output directory's parent.
-@pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "out/run", "out\\run"])
+# the output directory's parent. A NUL ran the whole simulation, then failed
+# to open the trace with ValueError: embedded null byte; a lone surrogate
+# made load_config raise UnicodeEncodeError.
+@pytest.mark.parametrize(
+    "label", ["", ".", "..", "../escaped", "out/run", "out\\run", "a\0b", "a\udc80b"]
+)
 def test_label_with_a_path_is_refused(tmp_path, label):
     with pytest.raises(ConfigError) as exc:
         run_scenario(scenario_path("step_unloaded_p1"), tmp_path / "out", {"run.label": label})

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -50,6 +51,8 @@ def test_quasi_static_loop_matches_closed_form_area():
     area = loop_area(grid, up, down)
     expected = play_loop_area(tmap.gain, tmap.play_width, 400e3)
     assert area == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match="twice the play width"):
+        play_loop_area(tmap.gain, tmap.play_width, 2 * tmap.play_width - 1.0)
     # the two branches really are distinct in the interior
     mid = len(grid) // 2
     assert down[mid] - up[mid] == pytest.approx(2 * tmap.gain * 10e3, rel=1e-9)
@@ -62,8 +65,14 @@ def test_zero_play_width_gives_zero_area():
     assert loop_area(grid, up, down) == 0.0
 
 
+# sha256 of the bundled scenario's loop CSV, from the three-loop walk that
+# the one-loop walk replaced.
+HYSTERESIS_LOOP_SHA256 = "5f6bc4565dd51b7861c933d7c631f806d17854e4dff87789271f31b8dce36a39"
+
+
 def test_hysteresis_sweep_emits_both_branches(tmp_path):
     csv_path, area, cfg = hysteresis_sweep(scenario_path("hysteresis"), tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == HYSTERESIS_LOOP_SHA256
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "branch,pressure_pa,tip_mm"
     branches = {line.split(",")[0] for line in lines[1:]}
@@ -235,7 +244,11 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "hysteresis_sweep.csv").exists()
 
-    def test_sweep_with_a_bad_value_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "values, message",
+        [("1e-8,-1", "[plant] kv_hp must be > 0"), (" , ", "--values is empty")],
+    )
+    def test_sweep_with_a_bad_value_writes_nothing(self, tmp_path, capsys, values, message):
         out = tmp_path / "out"
         rc = main(
             [
@@ -244,13 +257,13 @@ class TestCli:
                 "--param",
                 "plant.kv_hp",
                 "--values",
-                "1e-8,-1",
+                values,
                 "--out-dir",
                 str(out),
             ]
         )
         assert rc == 2
-        assert "[plant] kv_hp must be > 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_sweep_over_run_label_writes_nothing(self, tmp_path, capsys):

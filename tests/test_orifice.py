@@ -54,6 +54,10 @@ def test_rejects_bad_inputs():
         OrificeModel(k_v=0.0, p_tr=1e3)
     with pytest.raises(ValueError):
         OrificeModel(k_v=1e-8, p_tr=0.0)
+    with pytest.raises(ValueError):
+        flow_factor(0.0, 4e5)
+    with pytest.raises(ValueError):
+        flow_factor(1e-5, -1.0)
 
 
 @given(dp=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -158,8 +158,10 @@ def test_pressure_stays_between_tank_and_supply():
 def test_rejects_nonpositive_dt_and_negative_state():
     plant = make_plant()
     state = make_state(plant)
-    with pytest.raises(ValueError):
-        plant_step(plant, state, False, False, 0.0)
+    # The dt check is valve_step's, the first call plant_step makes.
+    for dt in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            plant_step(plant, state, False, False, dt)
     with pytest.raises(ValueError):
         replace(plant, p_supply=-1.0)
     with pytest.raises(ValueError):

@@ -43,6 +43,7 @@ def test_chirp_instantaneous_frequency_at_sweep_end():
 _HZ = st.floats(-1e308, 1e308) | st.sampled_from([0.0, 1.0, -1.0, 8e307, -8e307, 1.7e308])
 
 
+@pytest.mark.seeded
 @given(
     f0=_HZ,
     f1=_HZ,

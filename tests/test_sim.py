@@ -157,6 +157,8 @@ def test_volume_ledger_is_exact(scenario_run):
     for name in ("chirp_matched", "step_unloaded_p1"):
         _, trace = scenario_run(name)
         assert volume_ledger_error(trace) < 1e-12
+    empty = SimTrace(columns={"t": np.empty(0), "v_tube": np.empty(0)}, dv=np.empty(0))
+    assert volume_ledger_error(empty) == 0.0
 
 
 _volume = st.floats(0.0, 1e-3)

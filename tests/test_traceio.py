@@ -286,16 +286,24 @@ def test_zero_row_trace_is_only_the_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, overrides",
-    [("step_unloaded_p1", None), ("chirp_matched", {"run.duration_s": "3"})],
+    "name, overrides, domain",
+    [
+        ("step_unloaded_p1", None, "position"),
+        ("chirp_matched", {"run.duration_s": "3"}, "pressure"),
+        # Open loop: no output is tracked, so the error is zero and settled.
+        ("step_unloaded_p1", {"controller.kind": "none", "run.duration_s": "3"}, "none"),
+    ],
 )
-def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides):
+def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides, domain):
     trace_path, _, metrics, trace = run_scenario(scenario_path(name), tmp_path, overrides)
     band = settle_band(load_config(scenario_path(name), overrides))
+    assert json.loads(traceio.sidecar_path(trace_path).read_text())["control_domain"] == domain
     back = read_trace(trace_path)
     for field in ("label", "control_domain", "dt"):
         assert getattr(back, field) == getattr(trace, field), field
     assert compute_metrics(back, band) == metrics
+    if domain == "none":
+        assert (band, metrics.max_abs_error, metrics.settled) == (0.0, 0.0, True)
 
 
 def test_trace_without_sidecar_is_refused(tmp_path, scenario_run):

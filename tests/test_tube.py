@@ -20,6 +20,8 @@ def test_rejects_negative_volume_and_bad_compliance():
         tube_pressure(TUBE, -1e-9)
     with pytest.raises(ValueError):
         TubeModelLinear(c_a=0.0)
+    with pytest.raises(ValueError, match="pressure must be >= 0"):
+        tip_position(TipPositionMap(gain=2e-5), -1.0, 0.0)
 
 
 def test_affine_map_without_play():
