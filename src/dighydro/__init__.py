@@ -28,7 +28,7 @@ from .experiments import (
     sweep,
 )
 from .metrics import RunMetrics, compute_metrics
-from .orifice import OrificeModel, flow_factor, orifice_flow
+from .orifice import OrificeModel, orifice_flow
 from .plant import HydraulicState, PlantModel, initial_state, plant_step
 from .reference import ReferenceSignal, reference_column, reference_eval
 from .sensor import SensorModel, quantize, sensor_read
@@ -55,7 +55,6 @@ __all__ = [
     "TubeModelLinear",
     "ValveDynamics",
     "compute_metrics",
-    "flow_factor",
     "hysteresis_sweep",
     "initial_state",
     "load_config",

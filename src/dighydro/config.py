@@ -35,7 +35,6 @@ CONTROLLER_DOMAINS = {
     "switching": "position",
     "pi_pressure": "position",
 }
-CONTROLLER_KINDS = tuple(CONTROLLER_DOMAINS)
 
 # Control domain -> (the trace column its reference tracks, the [controller]
 # key of its settle band); "none" tracks nothing: zero error, a band of 0.
@@ -390,8 +389,10 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         )
     if m.saturation_lo_mm > m.saturation_hi_mm:
         errors.append("[tip_map] saturation_lo_mm must be <= saturation_hi_mm")
-    if c.kind not in CONTROLLER_KINDS:
-        errors.append(f"[controller] kind must be one of {CONTROLLER_KINDS}, got {c.kind!r}")
+    if c.kind not in CONTROLLER_DOMAINS:
+        errors.append(
+            f"[controller] kind must be one of {tuple(CONTROLLER_DOMAINS)}, got {c.kind!r}"
+        )
     if not 0.0 <= c.duty <= 1.0:
         errors.append("[controller] duty must be in [0, 1]")
     if c.pi_out_lo_pa > c.pi_out_hi_pa:
@@ -452,27 +453,17 @@ def from_raw(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
     return cfg
 
 
-def apply_overrides(
-    raw: dict[str, dict[str, str]], overrides: dict[str, str]
-) -> dict[str, dict[str, str]]:
-    """Apply "section.key" -> string overrides; unknown targets are errors."""
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
+    """Load a scenario file, set its "section.key" -> string overrides and validate it."""
+    raw = read_raw(path)
     errors: list[str] = []
-    out = {s: dict(k) for s, k in raw.items()}
-    for dotted, text in overrides.items():
+    for dotted, text in (overrides or {}).items():
         section, _, key = dotted.partition(".")
         if key not in KEYS.get(section, ()):
             valid = ", ".join(f"{s}.{k}" for s, keys in KEYS.items() for k in keys)
             errors.append(f"unknown parameter {dotted!r}; valid parameters: {valid}")
             continue
-        out.setdefault(section, {})[key] = text
+        raw.setdefault(section, {})[key] = text
     if errors:
         raise ConfigError(errors)
-    return out
-
-
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
-    """Load, override, and validate a scenario configuration file."""
-    raw = read_raw(path)
-    if overrides:
-        raw = apply_overrides(raw, overrides)
     return from_raw(raw)

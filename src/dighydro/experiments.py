@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DOMAIN_TRACKING, ConfigError, ScenarioConfig, load_config
+from .config import DOMAIN_TRACKING, MAX_LABEL_BYTES, ConfigError, ScenarioConfig, load_config
 from .metrics import RunMetrics, compute_metrics, write_metrics
 from .sim import SimTrace, run_simulation
 from .traceio import sidecar_path, write_trace
@@ -172,12 +172,17 @@ def sweep(
     Every value's config is loaded and checked before the first run, so a
     bad value raises ConfigError before any file is written, and those
     checked configs are the ones run: the file is not read again. A failed
-    run removes every file the sweep wrote. `run.label` cannot be swept.
+    run removes every file the sweep wrote. `run.label` cannot be swept, and
+    the label with its longest index suffix must fit the label budget.
     """
     if parameter == "run.label":
         raise ConfigError(["[run] label cannot be swept: each run is labelled <label>_<index>"])
     base = dict(overrides or {})
     label = load_config(config_path, base).run.label
+    budget = MAX_LABEL_BYTES - len(f"_{len(values) - 1:03d}")
+    if len(label.encode("utf-8")) > budget:
+        why = f"at most {budget} bytes in UTF-8 for a sweep, which labels its runs <label>_000"
+        raise ConfigError([f"[run] label must be {why}"])
     cfgs = [
         load_config(config_path, {**base, parameter: value, "run.label": f"{label}_{i:03d}"})
         for i, value in enumerate(values)

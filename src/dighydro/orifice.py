@@ -32,13 +32,6 @@ class OrificeModel:
             raise ValueError(f"p_tr must be > 0, got {self.p_tr}")
 
 
-def flow_factor(q_nom: float, dp_nom: float) -> float:
-    """Flow factor from a nominal operating point: Q_nom / sqrt(dp_nom)."""
-    if q_nom <= 0.0 or dp_nom <= 0.0:
-        raise ValueError("nominal flow and pressure difference must be > 0")
-    return q_nom / math.sqrt(dp_nom)
-
-
 def orifice_flow(model: OrificeModel, opening: float, p1: float, p2: float) -> float:
     """Volume flow in m^3/s through the orifice, positive from port 1 to port 2.
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DOMAIN_TRACKING, ScenarioConfig
+from .config import ScenarioConfig
 from .controllers import model_based_tick, pi_tick, switching_tick
 from .plant import plant_step
 from .reference import reference_column
@@ -67,9 +67,6 @@ TRACE_COLUMNS = (
     "sensed_pos",
     "sensed_p",
 )
-
-# What a trace's tracking error is measured in (see config.DOMAIN_TRACKING).
-CONTROL_DOMAINS = tuple(DOMAIN_TRACKING)
 
 
 @dataclass

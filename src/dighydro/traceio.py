@@ -54,7 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import CONTROL_DOMAINS, TRACE_COLUMNS, SimTrace
+from .config import DOMAIN_TRACKING
+from .sim import TRACE_COLUMNS, SimTrace
 
 CHUNK_ROWS = 1024
 # Sixteen chunks' rows admit every dt of four decimals or fewer, 1e-4
@@ -219,9 +220,10 @@ def _checked_sidecar(meta, meta_path: Path) -> dict:
     label, domain, dt = meta["label"], meta["control_domain"], meta["dt"]
     if not isinstance(label, str):
         raise ValueError(f"trace sidecar {meta_path}: label must be a string, got {label!r}")
-    if domain not in CONTROL_DOMAINS:
+    if domain not in DOMAIN_TRACKING:
         raise ValueError(
-            f"trace sidecar {meta_path}: control_domain must be one of {CONTROL_DOMAINS}, got {domain!r}"
+            f"trace sidecar {meta_path}: control_domain must be one of"
+            f" {tuple(DOMAIN_TRACKING)}, got {domain!r}"
         )
     if not isinstance(dt, float) or not math.isfinite(dt) or dt < 0.0:
         raise ValueError(f"trace sidecar {meta_path}: dt must be a finite float >= 0, got {dt!r}")

@@ -5,6 +5,16 @@ import pytest
 from dighydro import load_config, run_simulation, scenario_path
 
 
+# A large tank orifice at a coarse step overshoots empty on the way down to
+# the -5 mm level of step_unloaded_p1, so the run clamps the tube volume.
+DRAINING_RUN = (
+    ("reference.step_levels", "2.0, -5.0"),
+    ("plant.kv_lp", "8e-8"),
+    ("run.dt_s", "1e-3"),
+    ("run.duration_s", "3"),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def cached_scenario_run(name: str, overrides: tuple = ()):
     """Run a bundled scenario once per test session; overrides are

@@ -206,8 +206,8 @@ def check_8_volume_conservation_everywhere():
 
 
 def check_golden_traces_unchanged():
-    """Regression lock: trace hashes of the two reference scenarios match the
-    recorded per-platform values."""
+    """Regression lock: the trace CSV of every bundled scenario has the
+    recorded per-platform sha256."""
     recorded = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for name, expected in recorded.items():

@@ -24,7 +24,6 @@ from dighydro.config import (
     MAX_LABEL_BYTES,
     MAX_LEVEL,
     MAX_STEPS,
-    apply_overrides,
     cross_validate,
     from_raw,
     read_raw,
@@ -403,9 +402,8 @@ def test_overrides_change_values():
 
 
 def test_unknown_override_lists_valid_parameters():
-    raw = read_raw(scenario_path("chirp_matched"))
     with pytest.raises(ConfigError) as exc:
-        apply_overrides(raw, {"plant.kv_zz": "1"})
+        load_config(scenario_path("chirp_matched"), {"plant.kv_zz": "1"})
     assert any("plant.kv_hp" in e for e in exc.value.errors)
 
 

@@ -116,6 +116,28 @@ def test_sweep_rejects_run_label(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("n_bytes", [232, 233])
+def test_sweep_refuses_a_label_its_index_suffix_overflows(tmp_path, n_bytes):
+    # 232-235 bytes pass load_config alone, but <label>_000 would not.
+    out = tmp_path / "out"
+    overrides = {"run.duration_s": "0.05", "run.label": "x" * n_bytes}
+    message = (
+        "[run] label must be at most 231 bytes in UTF-8 for a sweep,"
+        " which labels its runs <label>_000"
+    )
+    with pytest.raises(ConfigError) as exc:
+        sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8"], out, overrides)
+    assert exc.value.errors == [message]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_sweep_runs_a_label_that_fits_with_its_index_suffix(tmp_path):
+    label = "é" * 115 + "x"  # 231 bytes in UTF-8
+    overrides = {"run.duration_s": "0.05", "run.label": label}
+    table, rows = sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8"], tmp_path, overrides)
+    assert len(rows) == 1 and (tmp_path / f"{label}_000_trace.csv").exists()
+
+
 def test_sweep_table_quotes_values_holding_commas(tmp_path):
     values = ["0.0, 4.0", "0.0, 2.0"]
     table_path, _ = sweep(

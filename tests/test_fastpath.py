@@ -36,8 +36,10 @@ from dighydro import (
     tip_position,
     valve_step,
 )
-from dighydro.config import CONTROLLER_KINDS
+from dighydro.config import CONTROLLER_DOMAINS
 from dighydro.sim import TRACE_COLUMNS
+
+from conftest import DRAINING_RUN
 
 pytestmark = pytest.mark.seeded
 
@@ -74,7 +76,7 @@ def overrides(draw) -> dict[str, str]:
     duty over windows of one, two or twenty command quanta."""
     dt = draw(st.sampled_from([2.5e-4, 5e-4, 1e-3]))
     o = {
-        "controller.kind": draw(st.sampled_from(CONTROLLER_KINDS)),
+        "controller.kind": draw(st.sampled_from(tuple(CONTROLLER_DOMAINS))),
         "run.dt_s": repr(dt),
         "run.duration_s": repr(draw(st.integers(1, 500)) * dt),
         "run.seed": str(draw(st.integers(-2, 2**16))),
@@ -148,6 +150,10 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
     assert fast.dv.tobytes() == ref.dv.tobytes()
     assert _bits(fast.v_final) == _bits(ref.v_final)
     assert fast.clamp_events == ref.clamp_events
+    # The volume books are exact at every step, not only end to end.
+    v, dv = fast["v_tube"], fast.dv
+    assert (v[:-1] + dv[:-1]).tobytes() == v[1:].tobytes()
+    assert _bits(v[-1] + dv[-1]) == _bits(fast.v_final)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -469,14 +475,7 @@ def test_reference_column_is_reference_eval_on_every_row(sig, n, dt):
 
 
 def test_draining_run_clamps_as_the_plain_path_does():
-    # A large tank orifice at a coarse step overshoots empty on the way down
-    # to the -5 mm level.
-    o = {
-        "reference.step_levels": "2.0, -5.0",
-        "plant.kv_lp": "8e-8",
-        "run.dt_s": "1e-3",
-        "run.duration_s": "3",
-    }
+    o = dict(DRAINING_RUN)
     fast = run_simulation(load_config(scenario_path("step_unloaded_p1"), o))
     ref = plain.run_simulation(plain.load_config(scenario_path("step_unloaded_p1"), o))
     assert fast.clamp_events == ref.clamp_events >= 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dighydro import OrificeModel, flow_factor, orifice_flow
+from dighydro import OrificeModel, orifice_flow
 
 MODEL = OrificeModel(k_v=1e-8, p_tr=1000.0)
 
@@ -37,10 +37,6 @@ def test_opening_scales_linearly():
     assert orifice_flow(MODEL, 0.25, 5e5, 1e5) == pytest.approx(0.25 * full, rel=1e-15)
 
 
-def test_flow_factor_from_nominal_point():
-    assert flow_factor(6.324555320336759e-06, 4e5) == pytest.approx(1e-8, rel=1e-12)
-
-
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         orifice_flow(MODEL, -0.1, 1e5, 0.0)
@@ -54,10 +50,6 @@ def test_rejects_bad_inputs():
         OrificeModel(k_v=0.0, p_tr=1e3)
     with pytest.raises(ValueError):
         OrificeModel(k_v=1e-8, p_tr=0.0)
-    with pytest.raises(ValueError):
-        flow_factor(0.0, 4e5)
-    with pytest.raises(ValueError):
-        flow_factor(1e-5, -1.0)
 
 
 @given(dp=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

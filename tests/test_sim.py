@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dighydro
 from dighydro import (
+    BUNDLED_SCENARIOS,
     load_config,
     model_based_tick,
     plant_step,
@@ -24,15 +25,14 @@ from dighydro import (
 from dighydro.metrics import tracking_error
 from dighydro.sim import TRACE_COLUMNS, SimTrace
 
+from conftest import DRAINING_RUN
+
 # sha256 over the little-endian float64 bytes of every trace column, in
-# TRACE_COLUMNS order. They lock the engine paths that the two golden
-# scenarios do not reach: the miscalibrated, loaded and hysteretic plants,
-# the PI outer loop, and sensor noise on both sensors or on position only.
+# TRACE_COLUMNS order. The golden file pins the CSV of every bundled
+# scenario, and a CSV that reads back bit-exact pins every column; these
+# lock the engine paths that no bundled scenario reaches: the PI outer loop,
+# and sensor noise on both sensors or on position only.
 PINNED_TRACES = [
-    ("chirp_miscalibrated", (), "6dda22f10e6e3ff233382c7fe45ca15e1d0a88ff34a4f0fe763645e91d9e3684"),
-    ("step_unloaded_p2", (), "e4dd187b8db9626d5e42e2b24d169541fda368b0e6e9a788b711b2dd4bf81052"),
-    ("step_loaded", (), "7597fbc9335fd0e807e098fc68b1ff0f2a2419c26b9575544f067f96945a691c"),
-    ("hysteresis", (), "325890b653f603e8a4fdbe955fe08319780103ce5bd3264d941043086deda618"),
     (
         "step_unloaded_p1",
         (("controller.kind", "pi_pressure"),),
@@ -59,7 +59,7 @@ PINNED_TRACES = [
 @pytest.mark.parametrize(
     "name, overrides, expected",
     PINNED_TRACES,
-    ids=["miscalibrated", "p2", "loaded", "hysteresis", "pi_pressure", "noisy", "noisy_position"],
+    ids=["pi_pressure", "noisy", "noisy_position"],
 )
 def test_pinned_trace_hashes(scenario_run, name, overrides, expected):
     _, trace = scenario_run(name, overrides)
@@ -153,10 +153,22 @@ def test_engine_writes_each_column_into_its_final_array(scenario_run):
     assert peak <= 1.02 * sum(col.nbytes for col in returned)
 
 
-def test_volume_ledger_is_exact(scenario_run):
-    for name in ("chirp_matched", "step_unloaded_p1"):
-        _, trace = scenario_run(name)
-        assert volume_ledger_error(trace) < 1e-12
+@pytest.mark.parametrize(
+    "name, overrides",
+    [(name, ()) for name in BUNDLED_SCENARIOS] + [("step_unloaded_p1", DRAINING_RUN)],
+    ids=[*BUNDLED_SCENARIOS, "draining"],
+)
+def test_volume_ledger_is_exact(scenario_run, name, overrides):
+    # Each step's booked volume takes v_tube to the next row's, bit for bit,
+    # and the last one to v_final.
+    _, trace = scenario_run(name, overrides)
+    v, dv = trace["v_tube"], trace.dv
+    assert (v[:-1] + dv[:-1]).tobytes() == v[1:].tobytes()
+    assert (v[-1] + dv[-1]).tobytes() == np.float64(trace.v_final).tobytes()
+    assert volume_ledger_error(trace) < 1e-12
+
+
+def test_volume_ledger_of_an_empty_trace_is_zero():
     empty = SimTrace(columns={"t": np.empty(0), "v_tube": np.empty(0)}, dv=np.empty(0))
     assert volume_ledger_error(empty) == 0.0
 
