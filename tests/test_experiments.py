@@ -134,7 +134,7 @@ def test_sweep_refuses_a_label_its_index_suffix_overflows(tmp_path, n_bytes):
 def test_sweep_runs_a_label_that_fits_with_its_index_suffix(tmp_path):
     label = "é" * 115 + "x"  # 231 bytes in UTF-8
     overrides = {"run.duration_s": "0.05", "run.label": label}
-    table, rows = sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8"], tmp_path, overrides)
+    _, rows = sweep(scenario_path("hysteresis"), "plant.kv_hp", ["1e-8"], tmp_path, overrides)
     assert len(rows) == 1 and (tmp_path / f"{label}_000_trace.csv").exists()
 
 
