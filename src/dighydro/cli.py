@@ -65,9 +65,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.command == "sweep":
             values = [v.strip() for v in args.values.split(",") if v.strip()]
-            if not values:
-                print("error: --values is empty", file=sys.stderr)
-                return 2
             table_path, rows = sweep(
                 args.config, args.param, values, args.out_dir, _common_overrides(args)
             )

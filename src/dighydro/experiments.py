@@ -15,7 +15,7 @@ import numpy as np
 from .config import DOMAIN_TRACKING, MAX_LABEL_BYTES, ConfigError, ScenarioConfig, load_config
 from .metrics import RunMetrics, compute_metrics, write_metrics
 from .sim import SimTrace, run_simulation
-from .traceio import sidecar_path, write_trace
+from .traceio import shared_reference_texts, sidecar_path, write_trace
 from .tube import TipPositionMap, tip_position
 
 BUNDLED_SCENARIOS = (
@@ -173,8 +173,13 @@ def sweep(
     bad value raises ConfigError before any file is written, and those
     checked configs are the ones run: the file is not read again. A failed
     run removes every file the sweep wrote. `run.label` cannot be swept, and
-    the label with its longest index suffix must fit the label budget.
+    the label with its longest index suffix must fit the label budget; an
+    empty value list is refused. Consecutive runs share the texts of their
+    trace's reference column (`traceio.shared_reference_texts`), one trace's
+    worth at a time; the files are those each config writes alone.
     """
+    if not values:
+        raise ConfigError(["a sweep needs at least one value"])
     if parameter == "run.label":
         raise ConfigError(["[run] label cannot be swept: each run is labelled <label>_<index>"])
     base = dict(overrides or {})
@@ -191,7 +196,7 @@ def sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"{label}_sweep.csv"
     outputs = [path for cfg in cfgs for path in _run_outputs(out_dir, cfg.run.label)]
-    with _removed_on_failure(table_path, *outputs):
+    with _removed_on_failure(table_path, *outputs), shared_reference_texts():
         rows = [_run(cfg, out_dir)[2] for cfg in cfgs]
         header = ["value", *(f.name for f in fields(RunMetrics))]
         cells = [{**asdict(m), "settled": int(m.settled)}.values() for m in rows]

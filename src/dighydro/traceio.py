@@ -42,14 +42,29 @@ CSV has no room for; `read_trace` reads it back, so metrics computed from a
 trace read from disk equal those of the run that wrote it. The writer
 checks the sidecar by the reader's rules before it writes either file, so
 every trace it writes reads back.
+
+Within a `shared_reference_texts` scope, which `experiments.sweep` opens
+around its runs, consecutive traces share the texts of their ref column. A
+sweep's runs differ in one parameter, and unless it moves the reference (a
+[reference] key, or the step size) every run has the same ref column, which
+on a chirp is formatted row by row in every chunk. The scope keeps, for each
+chunk whose ref column is formatted row by row, that column's texts joined
+by commas, keyed by the chunk's ref bytes. The next write pops the text of
+each chunk whose ref has the same bytes and splits it, formats every other
+chunk's ref with repr, and leaves only its own chunks in the store, so the
+store holds at most one trace's reference texts. Equal bits have equal
+repr, so the bytes written are those of a write outside the scope. The
+store lives in a context variable and is dropped when the scope closes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +76,25 @@ CHUNK_ROWS = 1024
 # Sixteen chunks' rows admit every dt of four decimals or fewer, 1e-4
 # among them, and hold e at 12 or less: the table is at least 2**e long.
 MAX_PERIOD = 16 * CHUNK_ROWS
+
+# Outside a shared_reference_texts scope None; inside it, the joined ref
+# texts of the chunks of the last trace written, keyed by their ref bytes.
+_REF_TEXTS: contextvars.ContextVar[dict[bytes, str] | None] = contextvars.ContextVar(
+    "dighydro_ref_texts", default=None
+)
+
+
+@contextmanager
+def shared_reference_texts():
+    """Scope in which consecutive `write_trace` calls reuse the texts of
+    bit-equal chunks of their ref column; see the module docstring."""
+    store: dict[bytes, str] = {}
+    token = _REF_TEXTS.set(store)
+    try:
+        yield
+    finally:
+        _REF_TEXTS.reset(token)
+        store.clear()
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -121,12 +155,31 @@ def _time_texts(t: np.ndarray, first_row: int, grid: tuple[int, int, np.ndarray]
     return wholes.tolist(), fracs.tolist()
 
 
-def _pieces(cols: list[np.ndarray], first_row: int, grid: tuple | None) -> list[str]:
+def _ref_texts(ref: np.ndarray, store: dict[bytes, str], kept: dict[bytes, str]) -> list[str]:
+    """The repr of each value of a chunk's ref column: popped from store by
+    the column's bytes and split, or formatted; either way its joined text
+    is put in kept under those bytes."""
+    key = ref.tobytes()
+    text = store.pop(key, None)
+    if text is not None:
+        kept[key] = text
+        return text.split(",")
+    texts = list(map(repr, ref.tolist()))
+    kept[key] = ",".join(texts)
+    return texts
+
+
+def _pieces(
+    cols: list[np.ndarray], first_row: int, grid: tuple | None, shared: tuple | None = None
+) -> list[str]:
     """Pieces whose join is the text of the rows of equal-length columns, at
     least one row long, each row ended by a newline. The first column is a
     time column whose first value is row first_row of the trace, and grid
-    its `_time_grid`. The caller joins the pieces once this function's
-    arrays are freed, so that they do not add to the join's peak memory."""
+    its `_time_grid`; the second is the ref column. Where that column is
+    formatted row by row and shared, the (store, kept) pair of
+    `write_trace`, is given, its texts come from `_ref_texts`. The caller
+    joins the pieces once this function's arrays are freed, so that they do
+    not add to the join's peak memory."""
     block = np.vstack(cols)
     bits = block.view(np.uint64)
     changed = bits[:, 1:] != bits[:, :-1]
@@ -143,7 +196,10 @@ def _pieces(cols: list[np.ndarray], first_row: int, grid: tuple | None) -> list[
         pieces[0::width], pieces[1::width] = _time_texts(block[0], first_row, grid)
         reprs = range(1, lead)
     for i in reprs:
-        pieces[2 * i :: width] = map(repr, block[i].tolist())
+        if i == 1 and shared is not None:
+            pieces[2::width] = _ref_texts(block[1], *shared)
+        else:
+            pieces[2 * i :: width] = map(repr, block[i].tolist())
     if lead == ncols:
         return pieces
     # The tail's text changes only where one of its columns does: each run
@@ -167,7 +223,8 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     written, each a ValueError: a missing column, or one with fewer rows
     than another, and the sidecar's label, control domain and step size
     float(trace.dt), by the rules `read_trace` applies to them, so every
-    trace written reads back."""
+    trace written reads back. Inside a `shared_reference_texts` scope the
+    ref texts of the last trace written are reused where the bits match."""
     path = Path(path)
     for name in TRACE_COLUMNS:
         if name not in trace.columns:
@@ -182,10 +239,15 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
         {"control_domain": trace.control_domain, "dt": float(trace.dt), "label": trace.label}, meta_path
     )
     grid = _time_grid(meta["dt"])
+    store = _REF_TEXTS.get()
+    shared = None if store is None else (store, {})
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):
-            fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols], start, grid)))
+            fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols], start, grid, shared)))
+    if shared is not None:
+        store.clear()
+        store.update(shared[1])
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 

@@ -91,6 +91,10 @@ _NUDGES = {
 }
 
 
+# Rows of a second trace's ref to nudge; none makes it the first's.
+_ref_nudges = st.dictionaries(st.integers(0, 39), st.sampled_from(sorted(_NUDGES)), max_size=3)
+
+
 @st.composite
 def _columns(draw) -> list[list[float]]:
     """Eleven equal-length columns, each dense, constant, dense up to some
@@ -125,7 +129,12 @@ def _columns(draw) -> list[list[float]]:
 
 @pytest.mark.seeded
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), dt=_step, cols=_columns())
+@given(
+    chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)),
+    dt=_step,
+    cols=_columns(),
+    nudges=st.none() | _ref_nudges,
+)
 # A dense leading t that stops changing mid-chunk, ahead of dense and
 # constant columns.
 @example(
@@ -135,6 +144,7 @@ def _columns(draw) -> list[list[float]]:
     + [[k * 1.5 for k in range(9)]] * 2
     + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, -math.inf, 0.0]] * 4,
+    nudges=None,
 )
 # The two edge layouts of a chunk's pieces: no dense column at all (a
 # constant t), and every column dense but the last (only sensed_p repeats,
@@ -145,19 +155,35 @@ def _columns(draw) -> list[list[float]]:
     cols=[[0.5] * 9]
     + [_dense(0.0, None, 9), [-0.0] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, math.nan, math.nan]] * 8,
+    nudges=None,
 )
 @example(
     chunk_rows=7,
     dt=0.5,
     cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
     + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
+    nudges=None,
+)
+# The same columns written twice in one scope, the second time with -0.0 in
+# ref's first chunk: that chunk takes its own texts, the second shares them.
+@example(
+    chunk_rows=7,
+    dt=0.5,
+    cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
+    + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
+    nudges={3: "negative zero"},
 )
 # t on the grid of dt = 0.1, whose second chunk crosses a whole second;
 # 0.30000000000000004 and 0.7000000000000001 are off the grid.
-@example(chunk_rows=7, dt=0.1, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10)
+@example(chunk_rows=7, dt=0.1, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10, nudges=None)
 # The grid of dt = 6.25e-5 holds 6.25e-05 below 1e-4, which repr prints in
 # exponent form, and 0.000125 above it.
-@example(chunk_rows=traceio.CHUNK_ROWS, dt=6.25e-5, cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10)
+@example(
+    chunk_rows=traceio.CHUNK_ROWS,
+    dt=6.25e-5,
+    cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10,
+    nudges=None,
+)
 # m = 3002399751580331 < 2**52 but 3 * m = 2**53 + 1, whose nearest double
 # 2**53 has t[3]'s bits and prints as 9007199254740992.0: row 3 lies past
 # the k * m < 2**52 bound and must take repr.
@@ -165,13 +191,26 @@ def _columns(draw) -> list[list[float]]:
     chunk_rows=traceio.CHUNK_ROWS,
     dt=3002399751580331.0,
     cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10,
+    nudges=None,
 )
-def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, dt, cols):
+def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, dt, cols, nudges):
+    # With nudges the trace is written, then a copy whose ref has the rows
+    # nudges names nudged, in one scope that shares their reference texts.
     columns = {name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)}
     trace = SimTrace(columns=columns, dt=dt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
-        _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
+        if nudges is None:
+            _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
+            return
+        ref = columns["ref"].copy()
+        for k, nudge in nudges.items():
+            if k < len(ref):
+                ref[k] = _NUDGES[nudge](ref[k])
+        second = SimTrace(columns={**columns, "ref": ref}, dt=dt)
+        with traceio.shared_reference_texts():
+            _assert_writes_plain_repr(trace, tmp_path / "first.csv")
+            _assert_writes_plain_repr(second, tmp_path / "second.csv")
 
 
 @pytest.mark.parametrize("dt", [0.0, 1e-4, 7.0])
@@ -199,6 +238,41 @@ def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, dt):
 
     short, long = write_peak(4 * traceio.CHUNK_ROWS), write_peak(40 * traceio.CHUNK_ROWS)
     assert long < 1.5 * short, (short, long)
+
+
+@pytest.mark.parametrize(
+    "row, value",
+    [(5, "one ulp up"), (3 * 1024 - 1, "one ulp down"), (3 * 1024 // 2, "-0.0")],
+)
+def test_shared_reference_texts_print_a_changed_ref_as_it_is(tmp_path, row, value):
+    # A dense ref over three chunks that holds 0.0 at its middle row. A
+    # second trace whose ref differs in one row's bits prints as it does
+    # outside the scope; a third, bit-equal to the first, shares all its
+    # chunks' texts.
+    n = 3 * traceio.CHUNK_ROWS
+    columns = {name: np.arange(n) * 1e-4 + i for i, name in enumerate(TRACE_COLUMNS)}
+    columns["ref"] = (np.arange(n) - n // 2) * 0.25
+    assert columns["ref"][row] == 0.0 or value != "-0.0"
+    changed = columns["ref"].copy()
+    if value == "-0.0":
+        changed[row] = -0.0
+    else:
+        changed[row] = np.nextafter(changed[row], np.inf if value == "one ulp up" else -np.inf)
+    first = SimTrace(columns=columns, dt=1e-4)
+    second = SimTrace(columns={**columns, "ref": changed}, dt=1e-4)
+    write_trace(second, tmp_path / "alone.csv")
+    with traceio.shared_reference_texts():
+        store = traceio._REF_TEXTS.get()
+        write_trace(first, tmp_path / "first.csv")
+        keys = set(store)
+        write_trace(second, tmp_path / "second.csv")
+        assert len(store) == 3 and len(keys & set(store)) == 2
+        write_trace(first, tmp_path / "third.csv")
+        assert set(store) == keys
+    assert store == {} and traceio._REF_TEXTS.get() is None
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    _assert_writes_plain_repr(second, tmp_path / "plain.csv")
+    assert (tmp_path / "third.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 @pytest.mark.parametrize("short", ["sensed_p", "t"])
