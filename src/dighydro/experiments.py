@@ -174,9 +174,8 @@ def sweep(
     checked configs are the ones run: the file is not read again. A failed
     run removes every file the sweep wrote. `run.label` cannot be swept, and
     the label with its longest index suffix must fit the label budget; an
-    empty value list is refused. Consecutive runs share the texts of their
-    trace's reference column (`traceio.shared_reference_texts`), one trace's
-    worth at a time; the files are those each config writes alone.
+    empty value list is refused. The runs share ref texts through
+    `traceio.shared_reference_texts`.
     """
     if not values:
         raise ConfigError(["a sweep needs at least one value"])

@@ -4,7 +4,8 @@ Column order is fixed; floats are written with Python's shortest round-trip
 representation so that reading a trace back reproduces it bit for bit.
 
 The rows are written in self-contained chunks of `CHUNK_ROWS`, which bounds
-the memory the texts take. Each chunk's text is one join over a flat list of
+the memory the texts take (inside a `shared_reference_texts` scope, see
+below, the store of ref texts adds to it). Each chunk's text is one join over a flat list of
 pieces; no row has a string of its own. Change detection runs on one bit
 matrix per chunk, the chunk's columns stacked and viewed as uint64: only the
 leading columns whose bits change on every row (t always, ref on a chirp)
@@ -51,8 +52,11 @@ on a chirp is formatted row by row in every chunk. The scope keeps, for each
 chunk whose ref column is formatted row by row, that column's texts joined
 by commas, keyed by the chunk's ref bytes. The next write pops the text of
 each chunk whose ref has the same bytes and splits it, formats every other
-chunk's ref with repr, and leaves only its own chunks in the store, so the
-store holds at most one trace's reference texts. Equal bits have equal
+chunk's ref with repr, and leaves only its own chunks in the store. So
+between writes the store holds one trace's ref texts, and while a trace is
+written it holds at most two: the chunks of the last trace not yet popped
+and those of the new one. That is about 8 bytes of key and 20 of text a
+row, which grows with the trace, not the chunk. Equal bits have equal
 repr, so the bytes written are those of a write outside the scope. The
 store lives in a context variable and is dropped when the scope closes.
 """
@@ -77,8 +81,7 @@ CHUNK_ROWS = 1024
 # among them, and hold e at 12 or less: the table is at least 2**e long.
 MAX_PERIOD = 16 * CHUNK_ROWS
 
-# Outside a shared_reference_texts scope None; inside it, the joined ref
-# texts of the chunks of the last trace written, keyed by their ref bytes.
+# The store of a shared_reference_texts scope; None outside one.
 _REF_TEXTS: contextvars.ContextVar[dict[bytes, str] | None] = contextvars.ContextVar(
     "dighydro_ref_texts", default=None
 )
@@ -86,8 +89,7 @@ _REF_TEXTS: contextvars.ContextVar[dict[bytes, str] | None] = contextvars.Contex
 
 @contextmanager
 def shared_reference_texts():
-    """Scope in which consecutive `write_trace` calls reuse the texts of
-    bit-equal chunks of their ref column; see the module docstring."""
+    """Scope in which `write_trace` shares ref texts; see the module docstring."""
     store: dict[bytes, str] = {}
     token = _REF_TEXTS.set(store)
     try:
@@ -175,11 +177,10 @@ def _pieces(
     """Pieces whose join is the text of the rows of equal-length columns, at
     least one row long, each row ended by a newline. The first column is a
     time column whose first value is row first_row of the trace, and grid
-    its `_time_grid`; the second is the ref column. Where that column is
-    formatted row by row and shared, the (store, kept) pair of
-    `write_trace`, is given, its texts come from `_ref_texts`. The caller
-    joins the pieces once this function's arrays are freed, so that they do
-    not add to the join's peak memory."""
+    its `_time_grid`; the second is the ref column, whose row-by-row texts
+    come from `_ref_texts` when shared, `write_trace`'s pair, is given. The
+    caller joins the pieces once this function's arrays are freed, so that
+    they do not add to the join's peak memory."""
     block = np.vstack(cols)
     bits = block.view(np.uint64)
     changed = bits[:, 1:] != bits[:, :-1]
@@ -223,8 +224,8 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
     written, each a ValueError: a missing column, or one with fewer rows
     than another, and the sidecar's label, control domain and step size
     float(trace.dt), by the rules `read_trace` applies to them, so every
-    trace written reads back. Inside a `shared_reference_texts` scope the
-    ref texts of the last trace written are reused where the bits match."""
+    trace written reads back. See the module docstring for
+    `shared_reference_texts`."""
     path = Path(path)
     for name in TRACE_COLUMNS:
         if name not in trace.columns:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -238,6 +239,42 @@ def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, dt):
 
     short, long = write_peak(4 * traceio.CHUNK_ROWS), write_peak(40 * traceio.CHUNK_ROWS)
     assert long < 1.5 * short, (short, long)
+
+
+@pytest.mark.parametrize("shares", [True, False], ids=["same ref", "other ref"])
+def test_shared_reference_texts_hold_one_trace_between_writes_and_two_during_one(tmp_path, shares):
+    # Inside a scope the store grows with the trace, not the chunk. Between
+    # writes it holds one trace's ref texts. While a second trace is written
+    # it adds to the memory of a write outside the scope the first trace's
+    # store, and, when the second shares no chunk, a second store as large.
+    rows = 40 * traceio.CHUNK_ROWS
+    rng = np.random.default_rng(7)
+    columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
+    columns["t"] = np.arange(rows) * 1e-4
+    first = SimTrace(columns={**columns, "ref": rng.standard_normal(rows)}, dt=1e-4)
+    second = first if shares else SimTrace(columns={**columns, "ref": rng.standard_normal(rows)}, dt=1e-4)
+    write_trace(second, tmp_path / "alone.csv")
+    tracemalloc.start()
+    try:
+        write_trace(second, tmp_path / "alone.csv")
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with traceio.shared_reference_texts():
+        store = traceio._REF_TEXTS.get()
+        tracemalloc.start()
+        try:
+            write_trace(first, tmp_path / "first.csv")
+            size = sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in store.items())
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_trace(second, tmp_path / "second.csv")
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 40
+    assert held < 1.1 * size and after < 1.1 * size, (size, held, after)
+    assert peak - held < alone + (0 if shares else size) + 0.1 * size, (alone, size, held, peak)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --tag pr23 \
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \
         --seeds 2301-2310 --out BENCH_pr23.json
     python3 tools/bench_pairs.py --parent HEAD --change HEAD --workloads busy_sweep \
         --seeds 1 --smoke --out /tmp/pairs.json
@@ -10,10 +10,11 @@ Run from the repository root:
 Each ref is extracted once with `git archive` into its own temporary tree,
 which every run of that side reuses. For each workload and seed the two
 trees run `python3 perfbench/run.py --workload W --seed S --trace 0` (with
---seconds N, or --smoke), one after the other: the parent first in
-odd-numbered pairs, the change first in even-numbered ones. Each side's
-record is the run's last output line, unedited; a run that exits non-zero
-or whose last line is not JSON stops the script, naming the pair.
+--seconds set to BENCHMARK.json's run_seconds, or --smoke), one after the
+other: the parent first in odd-numbered pairs, the change first in
+even-numbered ones. Each side's record is the run's last output line,
+unedited; a run that exits non-zero or whose last line is not JSON stops
+the script, naming the pair.
 
 The summary of each workload is computed from its pairs by `summarize`, as
 the committed BENCH_*.json files define it: quartiles by
@@ -38,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("chirp_pressure", "step_position", "busy_sweep")
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 SIDES = ("parent", "change")
 
 
@@ -130,15 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
     ap.add_argument("--change", required=True, help="git ref of the changed side")
-    ap.add_argument("--tag", default="", help="the record's name, such as pr23")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A-B: one pair per seed")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=float, default=40.0, help="run.py --seconds (default 40)")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     ap.add_argument("--smoke", action="store_true", help="run.py --smoke instead of --seconds")
     ap.add_argument("--out", required=True, type=Path, help="path of the JSON record")
     args = ap.parse_args(argv)
 
-    timing = ["--smoke"] if args.smoke else ["--seconds", f"{args.seconds:g}"]
     refs = {side: _git("rev-parse", "--short", getattr(args, side)).strip() for side in SIDES}
     pairs: dict[str, list] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -146,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             extract(refs[side], trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        timing = ["--smoke"] if args.smoke else ["--seconds", f"{spec['run_seconds']:g}"]
         for workload in args.workloads:
             pairs[workload] = []
             for i, seed in enumerate(args.seeds, start=1):
@@ -166,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
             " the run's last output line, unedited. Written by tools/bench_pairs.py, whose"
             " docstring defines the summary."
         ),
-        "tag": args.tag,
         "parent": refs["parent"],
         "change": refs["change"],
         "machine": machine(),
