@@ -86,7 +86,6 @@ class SimTrace:
     clamp_events: int = 0
     control_domain: str = "none"
     label: str = ""
-    dt: float = 0.0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -195,7 +194,6 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         clamp_events=clamp_events,
         control_domain=cfg.control_domain,
         label=run.label,
-        dt=dt,
     )
 
 

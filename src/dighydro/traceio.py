@@ -16,8 +16,9 @@ changes, a piece which every row of that run shares, as all rows share the
 comma and newline pieces. The bits, not `==`, decide, so 0.0 and -0.0 keep
 their own texts.
 
-The time column takes its texts from the decimal grid of the trace's step
-size dt: with repr(dt) = m * 10**-e, row k's grid value is c = k * m / 10**e.
+The time column takes its texts from the decimal grid of its step s, the
+value in its row 1, which for t = arange(n) * dt is dt bit for bit: with
+repr(s) = m * 10**-e, row k's grid value is c = k * m / 10**e.
 A row whose t is c prints as two pieces shared with other rows, the whole
 part k * m // 10**e, one text per run of rows in a chunk, and the fraction
 with the comma after it, from one table per step size of 10**e / gcd(m,
@@ -32,14 +33,15 @@ decimal with a later last digit has more significant digits than c. So c
 is the shortest text that reads back as t, which is what repr prints, and
 between 1e-4 and 1e16 repr prints it in fixed notation. A row past the
 bound is compared with the last grid value inside it instead. The test is
-made row by row, so a t column that is not arange(n) * dt is still written
-exactly. Every other row, -0.0, NaN, the infinities and negative values
-among them, prints as its repr and a comma; so does the whole column when
-dt has no usable grid (0.0, say).
+made row by row and holds whatever s is, so a t column that is not
+arange(n) * s is still written exactly. Every other row, -0.0, NaN, the
+infinities and negative values among them, prints as its repr and a comma;
+so does the whole column when s has no usable grid (0.0, NaN or one ulp
+off a short decimal, say) or the trace has fewer than two rows.
 
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
-sidecar holding the trace's label, control domain and step size, which the
-CSV has no room for; `read_trace` reads it back, so metrics computed from a
+sidecar holding the trace's label and control domain, which the CSV has
+no room for; `read_trace` reads it back, so metrics computed from a
 trace read from disk equal those of the run that wrote it. The writer
 checks the sidecar by the reader's rules before it writes either file, so
 every trace it writes reads back.
@@ -100,7 +102,7 @@ def shared_reference_texts():
 
 
 def sidecar_path(path: str | Path) -> Path:
-    """Path of the label/control-domain/dt sidecar of a trace CSV."""
+    """Path of the label/control-domain sidecar of a trace CSV."""
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
 
@@ -222,10 +224,10 @@ def _pieces(
 def write_trace(trace: SimTrace, path: str | Path) -> None:
     """Write the trace CSV and its sidecar. Checked before anything is
     written, each a ValueError: a missing column, or one with fewer rows
-    than another, and the sidecar's label, control domain and step size
-    float(trace.dt), by the rules `read_trace` applies to them, so every
-    trace written reads back. See the module docstring for
-    `shared_reference_texts`."""
+    than another, and the sidecar's label and control domain, by the rules
+    `read_trace` applies to them, so every trace written reads back. The
+    time column's grid is that of its step, t[1]. See the module docstring
+    for `shared_reference_texts`."""
     path = Path(path)
     for name in TRACE_COLUMNS:
         if name not in trace.columns:
@@ -236,10 +238,8 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
         if len(c) != n:
             raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
     meta_path = sidecar_path(path)
-    meta = _checked_sidecar(
-        {"control_domain": trace.control_domain, "dt": float(trace.dt), "label": trace.label}, meta_path
-    )
-    grid = _time_grid(meta["dt"])
+    meta = _checked_sidecar({"control_domain": trace.control_domain, "label": trace.label}, meta_path)
+    grid = _time_grid(float(cols[0][1])) if n > 1 else None
     store = _REF_TEXTS.get()
     shared = None if store is None else (store, {})
     with open(path, "w", newline="\n") as fh:
@@ -273,21 +273,20 @@ def read_trace(path: str | Path) -> SimTrace:
 
 
 def _checked_sidecar(meta, meta_path: Path) -> dict:
-    """The label, control domain and dt of the sidecar dict meta, checked
-    by the rules both `write_trace` and `read_trace` apply."""
+    """The label and control domain of the sidecar dict meta, checked by
+    the rules both `write_trace` and `read_trace` apply; other keys, such
+    as the "dt" of older sidecars, are ignored."""
     if not isinstance(meta, dict):
         raise ValueError(f"trace sidecar {meta_path} is not a JSON object")
-    for key in ("label", "control_domain", "dt"):
+    for key in ("label", "control_domain"):
         if key not in meta:
             raise ValueError(f"trace sidecar {meta_path} lacks {key!r}")
-    label, domain, dt = meta["label"], meta["control_domain"], meta["dt"]
+    label, domain = meta["label"], meta["control_domain"]
     if not isinstance(label, str):
         raise ValueError(f"trace sidecar {meta_path}: label must be a string, got {label!r}")
-    if domain not in DOMAIN_TRACKING:
+    if not isinstance(domain, str) or domain not in DOMAIN_TRACKING:
         raise ValueError(
             f"trace sidecar {meta_path}: control_domain must be one of"
             f" {tuple(DOMAIN_TRACKING)}, got {domain!r}"
         )
-    if not isinstance(dt, float) or not math.isfinite(dt) or dt < 0.0:
-        raise ValueError(f"trace sidecar {meta_path}: dt must be a finite float >= 0, got {dt!r}")
-    return {"label": label, "control_domain": domain, "dt": dt}
+    return {"label": label, "control_domain": domain}

@@ -73,7 +73,8 @@ def _dense(start: float, step: float | None, n: int) -> list[float]:
     return col[:n]
 
 
-# Step sizes m * 10**-e. The writer prints t from dt's decimal grid where
+# Step sizes m * 10**-e. The writer prints t from the decimal grid of its
+# step, the value in row 1 of t, where
 # the grid's table of fractions is short: 5e-05 and 1e-05 (whose small t
 # repr prints in exponent form) and 1.234567e-4 have long tables and skip
 # it, 1e20 has e < 0 and m >= 2**52 and skips it too, and 6.25e-5 has a
@@ -91,6 +92,13 @@ _NUDGES = {
     "negated": lambda x: -x,
 }
 
+
+def _t_cols(t: list[float]) -> list[list[float]]:
+    """Columns with the time column t and every other column 1.0."""
+    return [t] + [[1.0] * len(t)] * (len(TRACE_COLUMNS) - 1)
+
+
+_TENTHS = [k * 0.1 for k in range(9)]
 
 # Rows of a second trace's ref to nudge; none makes it the first's.
 _ref_nudges = st.dictionaries(st.integers(0, 39), st.sampled_from(sorted(_NUDGES)), max_size=3)
@@ -132,7 +140,6 @@ def _columns(draw) -> list[list[float]]:
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)),
-    dt=_step,
     cols=_columns(),
     nudges=st.none() | _ref_nudges,
 )
@@ -140,7 +147,6 @@ def _columns(draw) -> list[list[float]]:
 # constant columns.
 @example(
     chunk_rows=7,
-    dt=0.1,
     cols=[[0.0, 0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3, 0.8]]
     + [[k * 1.5 for k in range(9)]] * 2
     + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
@@ -152,7 +158,6 @@ def _columns(draw) -> list[list[float]]:
 # in both chunks).
 @example(
     chunk_rows=7,
-    dt=0.5,
     cols=[[0.5] * 9]
     + [_dense(0.0, None, 9), [-0.0] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, math.nan, math.nan]] * 8,
@@ -160,7 +165,6 @@ def _columns(draw) -> list[list[float]]:
 )
 @example(
     chunk_rows=7,
-    dt=0.5,
     cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
     + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
     nudges=None,
@@ -169,19 +173,17 @@ def _columns(draw) -> list[list[float]]:
 # ref's first chunk: that chunk takes its own texts, the second shares them.
 @example(
     chunk_rows=7,
-    dt=0.5,
     cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
     + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
     nudges={3: "negative zero"},
 )
-# t on the grid of dt = 0.1, whose second chunk crosses a whole second;
+# t on the grid of its step 0.1, whose second chunk crosses a whole second;
 # 0.30000000000000004 and 0.7000000000000001 are off the grid.
-@example(chunk_rows=7, dt=0.1, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10, nudges=None)
-# The grid of dt = 6.25e-5 holds 6.25e-05 below 1e-4, which repr prints in
+@example(chunk_rows=7, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10, nudges=None)
+# The grid of the step 6.25e-5 holds 6.25e-05 below 1e-4, which repr prints in
 # exponent form, and 0.000125 above it.
 @example(
     chunk_rows=traceio.CHUNK_ROWS,
-    dt=6.25e-5,
     cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10,
     nudges=None,
 )
@@ -190,15 +192,26 @@ def _columns(draw) -> list[list[float]]:
 # the k * m < 2**52 bound and must take repr.
 @example(
     chunk_rows=traceio.CHUNK_ROWS,
-    dt=3002399751580331.0,
     cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10,
     nudges=None,
 )
-def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, dt, cols, nudges):
+# The step is row 1 of t: a one-row trace has none. A row 1 one ulp off
+# 0.1, or -0.0, NaN or inf there, has no grid either, and every row takes
+# its repr. A t that starts at 2.0 has the step 2.25, on whose grid only
+# row 1 lies.
+@example(chunk_rows=7, cols=_t_cols([0.5]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, 0.5]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, math.nextafter(0.1, math.inf)] + _TENTHS[2:]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, math.nextafter(0.1, -math.inf)] + _TENTHS[2:]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, -0.0] + _TENTHS[2:]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, math.nan] + _TENTHS[2:]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([0.0, math.inf] + _TENTHS[2:]), nudges=None)
+@example(chunk_rows=7, cols=_t_cols([2.0 + k * 0.25 for k in range(9)]), nudges=None)
+def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols, nudges):
     # With nudges the trace is written, then a copy whose ref has the rows
     # nudges names nudged, in one scope that shares their reference texts.
     columns = {name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)}
-    trace = SimTrace(columns=columns, dt=dt)
+    trace = SimTrace(columns=columns)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
         if nudges is None:
@@ -208,26 +221,26 @@ def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_row
         for k, nudge in nudges.items():
             if k < len(ref):
                 ref[k] = _NUDGES[nudge](ref[k])
-        second = SimTrace(columns={**columns, "ref": ref}, dt=dt)
+        second = SimTrace(columns={**columns, "ref": ref})
         with traceio.shared_reference_texts():
             _assert_writes_plain_repr(trace, tmp_path / "first.csv")
             _assert_writes_plain_repr(second, tmp_path / "second.csv")
 
 
-@pytest.mark.parametrize("dt", [0.0, 1e-4, 7.0])
-def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, dt):
+@pytest.mark.parametrize("step", [1.234567e-4, 1e-4, 7.0])
+def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, step):
     # Dense t and ref ahead of columns that hold each value for four rows:
     # every row has its own text, so a writer that held the text of the
     # whole trace at once would need about ten times the memory on ten
-    # times the rows. With dt = 0.0 the trace has no step size, and t,
-    # spaced 1e-4, takes repr; 1e-4 prints t from its grid, and 7.0 too,
-    # with a whole part of its own on every row.
+    # times the rows. The step 1.234567e-4 has no usable grid, so t takes
+    # repr; 1e-4 prints t from its grid, and 7.0 too, with a whole part of
+    # its own on every row.
     def write_peak(rows: int) -> int:
         rng = np.random.default_rng(7)
         columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
-        columns["t"] = np.arange(rows) * (dt or 1e-4)
+        columns["t"] = np.arange(rows) * step
         columns["ref"] = rng.standard_normal(rows)
-        trace = SimTrace(columns=columns, dt=dt)
+        trace = SimTrace(columns=columns)
         # Each write builds its own table of fractions, as a first one would.
         traceio._time_grid.cache_clear()
         tracemalloc.start()
@@ -251,8 +264,8 @@ def test_shared_reference_texts_hold_one_trace_between_writes_and_two_during_one
     rng = np.random.default_rng(7)
     columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
     columns["t"] = np.arange(rows) * 1e-4
-    first = SimTrace(columns={**columns, "ref": rng.standard_normal(rows)}, dt=1e-4)
-    second = first if shares else SimTrace(columns={**columns, "ref": rng.standard_normal(rows)}, dt=1e-4)
+    first = SimTrace(columns={**columns, "ref": rng.standard_normal(rows)})
+    second = first if shares else SimTrace(columns={**columns, "ref": rng.standard_normal(rows)})
     write_trace(second, tmp_path / "alone.csv")
     tracemalloc.start()
     try:
@@ -295,8 +308,8 @@ def test_shared_reference_texts_print_a_changed_ref_as_it_is(tmp_path, row, valu
         changed[row] = -0.0
     else:
         changed[row] = np.nextafter(changed[row], np.inf if value == "one ulp up" else -np.inf)
-    first = SimTrace(columns=columns, dt=1e-4)
-    second = SimTrace(columns={**columns, "ref": changed}, dt=1e-4)
+    first = SimTrace(columns=columns)
+    second = SimTrace(columns={**columns, "ref": changed})
     write_trace(second, tmp_path / "alone.csv")
     with traceio.shared_reference_texts():
         store = traceio._REF_TEXTS.get()
@@ -344,12 +357,11 @@ def test_malformed_files_are_rejected(tmp_path):
     bad_sidecar.write_text(header + "\n" + ",".join(["0.0"] * 11) + "\n")
     sidecars = {
         '{"label": "s"}': "lacks 'control_domain'",
-        '["s", "pressure", 0.001]': "not a JSON object",
-        '{"label": 3, "control_domain": "pressure", "dt": 0.001}': "label",
-        '{"label": "s", "control_domain": "force", "dt": 0.001}': "control_domain",
-        '{"label": "s", "control_domain": "pressure", "dt": "0.001"}': "dt",
-        '{"label": "s", "control_domain": "pressure", "dt": 1}': "dt",
-        '{"label": "s", "control_domain": "pressure", "dt": NaN}': "dt",
+        '["s", "pressure"]': "not a JSON object",
+        '{"label": 3, "control_domain": "pressure"}': "label",
+        '{"label": "s", "control_domain": "force"}': "control_domain",
+        '{"label": "s", "control_domain": []}': "control_domain",
+        '{"label": "s", "control_domain": {}}': "control_domain",
     }
     for text, match in sidecars.items():
         traceio.sidecar_path(bad_sidecar).write_text(text + "\n")
@@ -363,7 +375,7 @@ def test_sidecar_never_overwrites_its_trace(tmp_path, scenario_run):
     write_trace(trace, path)
     assert traceio.sidecar_path(path) != path
     back = read_trace(path)
-    assert (back.label, back.control_domain, back.dt) == (trace.label, trace.control_domain, trace.dt)
+    assert (back.label, back.control_domain) == (trace.label, trace.control_domain)
     assert np.array_equal(back["p_tube"], trace["p_tube"])
 
 
@@ -397,20 +409,26 @@ def test_zero_row_trace_is_only_the_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, overrides, domain",
+    "name, overrides, domain, old",
     [
-        ("step_unloaded_p1", None, "position"),
-        ("chirp_matched", {"run.duration_s": "3"}, "pressure"),
+        ("step_unloaded_p1", None, "position", False),
+        ("chirp_matched", {"run.duration_s": "3"}, "pressure", False),
         # Open loop: no output is tracked, so the error is zero and settled.
-        ("step_unloaded_p1", {"controller.kind": "none", "run.duration_s": "3"}, "none"),
+        ("step_unloaded_p1", {"controller.kind": "none", "run.duration_s": "3"}, "none", False),
+        # Sidecars written before the step came from t hold "dt" too.
+        ("chirp_matched", {"run.duration_s": "3"}, "pressure", True),
     ],
 )
-def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides, domain):
+def test_trace_read_from_disk_gives_the_run_metrics(tmp_path, name, overrides, domain, old):
     trace_path, _, metrics, trace = run_scenario(scenario_path(name), tmp_path, overrides)
     band = settle_band(load_config(scenario_path(name), overrides))
-    assert json.loads(traceio.sidecar_path(trace_path).read_text())["control_domain"] == domain
+    meta_path = traceio.sidecar_path(trace_path)
+    meta = json.loads(meta_path.read_text())
+    assert meta == {"label": trace.label, "control_domain": domain}
+    if old:
+        meta_path.write_text(json.dumps({**meta, "dt": 0.0005}))
     back = read_trace(trace_path)
-    for field in ("label", "control_domain", "dt"):
+    for field in ("label", "control_domain"):
         assert getattr(back, field) == getattr(trace, field), field
     assert compute_metrics(back, band) == metrics
     if domain == "none":
@@ -428,26 +446,13 @@ def test_trace_without_sidecar_is_refused(tmp_path, scenario_run):
         read_trace(path)
 
 
-@pytest.mark.parametrize("dt", [1, np.float32(0.1), np.float64(5e-4)])
-def test_sidecar_round_trips_any_real_dt(tmp_path, dt):
-    columns = {name: np.arange(5) * float(dt) + i for i, name in enumerate(TRACE_COLUMNS)}
-    trace = SimTrace(columns=columns, control_domain="position", label="run", dt=dt)
-    path = tmp_path / "trace.csv"
-    write_trace(trace, path)
-    back = read_trace(path)
-    for name in TRACE_COLUMNS:
-        assert back[name].tobytes() == columns[name].tobytes(), name
-    assert (back.label, back.control_domain) == ("run", "position")
-    assert type(back.dt) is float and back.dt == dt
-
-
 @pytest.mark.parametrize(
     "field, value",
-    [("dt", math.nan), ("dt", -1e-3), ("control_domain", "force"), ("label", 3)],
+    [("control_domain", []), ("control_domain", {}), ("control_domain", "force"), ("label", 3)],
 )
 def test_writer_refuses_a_sidecar_the_reader_would(tmp_path, field, value):
     columns = {name: np.zeros(3) for name in TRACE_COLUMNS}
-    meta = {"control_domain": "pressure", "dt": 1e-3, "label": "run"}
+    meta = {"control_domain": "pressure", "label": "run"}
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError) as written:
         write_trace(SimTrace(columns=columns, **{**meta, field: value}), path)
