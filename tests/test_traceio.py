@@ -74,14 +74,14 @@ def _dense(start: float, step: float | None, n: int) -> list[float]:
 
 
 # Step sizes m * 10**-e. The writer prints t from the decimal grid of its
-# step, the value in row 1 of t, where
-# the grid's table of fractions is short: 5e-05 and 1e-05 (whose small t
-# repr prints in exponent form) and 1.234567e-4 have long tables and skip
-# it, 1e20 has e < 0 and m >= 2**52 and skips it too, and 6.25e-5 has a
-# grid value below 1e-4, which must not take it.
+# step, the value in row 1 of t, where the grid's table of fractions is
+# short: 5e-05 and 1e-05 (whose small t repr prints in exponent form) and
+# 1.234567e-4 have long tables and skip it, 1e20 has e < 0 and m >= 2**52
+# and skips it too, and 6.25e-5 has a grid value below 1e-4, which must
+# not take it.
 _STEPS = (0.0, 5e-4, 1e-4, 6.25e-5, 5e-05, 1e-05, 0.1, 2.0, 1.5, 1.234567e-4, 1e20, 7.0)
 _decimal = st.builds(lambda m, e: float(f"{m}e{-e}"), st.integers(1, 10**4), st.integers(-3, 8))
-_step = st.shared(st.sampled_from(_STEPS) | _decimal, key="dt")
+_step = st.sampled_from(_STEPS) | _decimal
 _NUDGES = {
     "up": lambda x: math.nextafter(x, math.inf),
     "down": lambda x: math.nextafter(x, -math.inf),
