@@ -8,6 +8,7 @@ import csv
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -149,9 +150,10 @@ def hysteresis_sweep(
             tmap, cfg.hysteresis.pressure_max_pa, cfg.hysteresis.pressure_step_pa
         )
         area = loop_area(grid, tip_up, tip_down)
-        up = [("up", p, y) for p, y in zip(grid.tolist(), tip_up.tolist())]
-        down = [("down", p, y) for p, y in zip(grid.tolist(), tip_down.tolist())]
-        _write_csv(csv_path, ["branch", "pressure_pa", "tip_mm"], up + down[::-1])
+        # Rows stream from zips: a tuple held per row would trip the collector.
+        up = zip(repeat("up"), grid.tolist(), tip_up.tolist())
+        down = zip(repeat("down"), grid[::-1].tolist(), tip_down[::-1].tolist())
+        _write_csv(csv_path, ["branch", "pressure_pa", "tip_mm"], chain(up, down))
     return csv_path, area, cfg
 
 

@@ -216,7 +216,8 @@ def _pieces(
     new[:, 1:] = tail_changed[:, starts[1:] - 1]
     texts = np.array(list(map(repr, tail[:, starts][new].tolist())), dtype=object)
     run_texts = texts[np.cumsum(new) - 1].reshape(new.shape)
-    tails = np.array(list(map(",".join, run_texts.T.tolist())), dtype=object)
+    # One run's tuple at a time: a list per run would trip the collector.
+    tails = np.array(list(map(",".join, zip(*run_texts.tolist()))), dtype=object)
     pieces[2 * lead :: width] = tails[np.cumsum(start) - 1].tolist()
     return pieces
 
