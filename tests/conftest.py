@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import gc
 
 import pytest
 
@@ -26,3 +28,23 @@ def cached_scenario_run(name: str, overrides: tuple = ()):
 @pytest.fixture
 def scenario_run():
     return cached_scenario_run
+
+
+@contextlib.contextmanager
+def collector_passes():
+    """The passes of the cyclic garbage collector that start inside the
+    block, each listed by its generation; the collector is emptied first,
+    so that garbage made before the block adds no pass."""
+    assert gc.isenabled()
+    gc.collect()
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(count)

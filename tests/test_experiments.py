@@ -23,6 +23,8 @@ from dighydro import (
 from dighydro.cli import main
 from dighydro.metrics import read_metrics
 
+from conftest import collector_passes
+
 
 def test_run_scenario_writes_trace_and_metrics(tmp_path):
     trace_path, metrics_path, metrics, trace = run_scenario(
@@ -80,6 +82,27 @@ def test_hysteresis_sweep_emits_both_branches(tmp_path):
     branches = {line.split(",")[0] for line in lines[1:]}
     assert branches == {"up", "down"}
     assert area > 0.0
+
+
+def test_fine_staircase_loop_streams_its_rows(tmp_path):
+    # 80,002 rows: a tuple held per row would run the cyclic collector over
+    # a hundred times (114 with two lists of row tuples).
+    overrides = {"hysteresis.pressure_step_pa": "10"}
+    cfg = load_config(scenario_path("hysteresis"), overrides)
+    grid, up, down = quasi_static_loop(
+        cfg.build_plant().tip_map, cfg.hysteresis.pressure_max_pa, cfg.hysteresis.pressure_step_pa
+    )
+    with collector_passes() as passes:
+        csv_path, _, _ = hysteresis_sweep(scenario_path("hysteresis"), tmp_path, overrides)
+    assert passes == []
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["branch", "pressure_pa", "tip_mm"])
+        writer.writerows([("up", p, y) for p, y in zip(grid.tolist(), up.tolist())])
+        writer.writerows([("down", p, y) for p, y in zip(grid.tolist(), down.tolist())][::-1])
+    assert len(grid) == 40_001
+    assert csv_path.read_bytes() == plain.read_bytes()
 
 
 def test_sweep_produces_one_row_per_value(tmp_path):

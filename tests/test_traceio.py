@@ -17,11 +17,14 @@ from dighydro import (
     run_scenario,
     run_simulation,
     scenario_path,
+    sweep,
     traceio,
     write_trace,
 )
 from dighydro.experiments import settle_band
 from dighydro.sim import TRACE_COLUMNS
+
+from conftest import collector_passes
 
 
 def test_csv_round_trip_is_exact(tmp_path, scenario_run):
@@ -252,6 +255,40 @@ def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, step):
 
     short, long = write_peak(4 * traceio.CHUNK_ROWS), write_peak(40 * traceio.CHUNK_ROWS)
     assert long < 1.5 * short, (short, long)
+
+
+# The chirp of the benchmark's busy sweep: its noisy sensed columns change on
+# every row, so a chunk's tail starts a run on every row.
+BUSY_CHIRP = (
+    ("run.duration_s", "10"),
+    ("reference.chirp_f0_hz", "1"),
+    ("reference.chirp_f1_hz", "6.5"),
+    ("reference.chirp_lo", "50e3"),
+    ("reference.chirp_hi", "450e3"),
+    ("reference.chirp_sweep_time_s", "10"),
+    ("controller.tolerance_pa", "2e3"),
+    ("sensor.pressure_noise_std_pa", "500"),
+    ("sensor.position_noise_std_mm", "0.02"),
+)
+
+
+@pytest.mark.parametrize("job", ["write", "sweep and read"])
+def test_writing_a_busy_trace_runs_no_collector_pass(tmp_path, scenario_run, job):
+    # A container the collector tracks, built per run of a chunk's tail,
+    # would run the cyclic collector about once a chunk: 19 passes in this
+    # write. The sweep may run one pass outside the writer.
+    if job == "write":
+        _, trace = scenario_run("chirp_matched", BUSY_CHIRP)
+        assert math.ceil(len(trace) / traceio.CHUNK_ROWS) == 20
+        with collector_passes() as passes:
+            write_trace(trace, tmp_path / "trace.csv")
+        assert passes == []
+        return
+    with collector_passes() as passes:
+        values = ["0.95e-8", "1.05e-8"]
+        sweep(scenario_path("chirp_matched"), "plant.kv_hp", values, tmp_path, dict(BUSY_CHIRP))
+        backs = [read_trace(path) for path in sorted(tmp_path.glob("*_trace.csv"))]
+    assert len(backs) == 2 and len(passes) <= 1, passes
 
 
 @pytest.mark.parametrize("shares", [True, False], ids=["same ref", "other ref"])
