@@ -30,11 +30,11 @@ from .experiments import (
 from .metrics import RunMetrics, compute_metrics
 from .orifice import OrificeModel, orifice_flow
 from .plant import HydraulicState, PlantModel, initial_state, plant_step
-from .reference import ReferenceSignal, reference_column, reference_eval
+from .reference import ReferenceSignal, reference_column
 from .sensor import SensorModel, quantize, sensor_read
 from .sim import SimTrace, run_simulation, volume_ledger_error
 from .traceio import read_trace, write_trace
-from .tube import TipPositionMap, TubeModelLinear, tip_position, tube_pressure
+from .tube import TipPositionMap, TubeModelLinear, tip_position
 from .valve import ValveDynamics, valve_step
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "quasi_static_loop",
     "read_trace",
     "reference_column",
-    "reference_eval",
     "run_scenario",
     "run_simulation",
     "scenario_path",
@@ -77,7 +76,6 @@ __all__ = [
     "sweep",
     "switching_tick",
     "tip_position",
-    "tube_pressure",
     "valve_step",
     "volume_ledger_error",
     "write_trace",

@@ -239,9 +239,8 @@ class ScenarioConfig:
         q, noise_std = s.position_quantization_mm, s.position_noise_std_mm
         return self._sensor(s.position_period_s, s.position_delay_s, q, noise_std)
 
-    def build_model_based_controller(self) -> ModelBasedControllerState:
+    def build_model_based_controller(self, plant: PlantModel) -> ModelBasedControllerState:
         c = self.controller
-        plant = self.build_plant()
         hp, lp = plant.hp_orifice, plant.lp_orifice
         state = ModelBasedControllerState(
             tube=plant.tube,
@@ -419,10 +418,16 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
     if 0.0 < h.pressure_max_pa < h.pressure_step_pa:
         errors.append("[hysteresis] pressure_step_pa must be <= pressure_max_pa")
     # round(ratio) > MAX_STEPS, and true of an infinite ratio too.
-    if h.pressure_step_pa > 0.0 and h.pressure_max_pa / h.pressure_step_pa > MAX_STEPS + 0.5:
+    elif h.pressure_step_pa > 0.0 and h.pressure_max_pa / h.pressure_step_pa > MAX_STEPS + 0.5:
         errors.append(
             f"[hysteresis] pressure_max_pa / pressure_step_pa must be at most {MAX_STEPS} steps"
         )
+    # The staircase takes round(ratio) steps, so its top is pressure_max_pa
+    # only where the ratio is whole.
+    elif min(h.pressure_max_pa, h.pressure_step_pa) > 0.0 and not _is_multiple(
+        h.pressure_max_pa, h.pressure_step_pa
+    ):
+        errors.append("[hysteresis] pressure_max_pa must be a whole multiple of pressure_step_pa")
 
     return errors
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .orifice import OrificeModel, orifice_flow
-from .tube import TubeModelLinear, tube_pressure
+from .tube import TubeModelLinear
 
 @dataclass(frozen=True)
 class ModelBasedControllerState:
@@ -82,8 +82,8 @@ def model_based_tick(
     v = state.est_volume
     v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
     v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
-    p_hp = tube_pressure(state.tube, v_hp)
-    p_lp = tube_pressure(state.tube, v_lp)
+    p_hp = state.tube.c_a * v_hp
+    p_lp = state.tube.c_a * v_lp
     # The argmin over (hold, pressurize, depressurize), as min() picks it:
     # a later action wins only on a strictly smaller error, so exact ties
     # keep the earlier one and a NaN error never wins.

@@ -178,8 +178,6 @@ def plant_step(
         v_new = 0.0
         clamped = True
 
-    # tube_pressure, inlined: after the clamp v_new is >= 0 or NaN, so its
-    # check could never fire here.
     p_new = plant.tube.c_a * v_new
     tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 

@@ -1,8 +1,7 @@
 """Reference signal generators: constant, step sequence, and chirp sine.
 
 `reference_column` gives the values over a whole non-decreasing time column
-at once, so that the engine builds a run's reference before its loop;
-`reference_eval`, the value at one time, is row 0 of a one-row column. The
+at once, so that the engine builds a run's reference before its loop. The
 chirp phase's sweep (t <= sweep_time) and hold branches are each written
 once, for a float t or an array alike: `chirp_phase` applies one to a time,
 the column both to slices in numpy, taking each sine with `math.sin` (a
@@ -103,11 +102,6 @@ def chirp_phase_bound(ref: ReferenceSignal, t: float) -> float:
     sweep = _sweep_phase(*c, min(t, ref.sweep_time))
     # After the sweep, t > sweep_time > 0, so neither branch is NaN.
     return sweep if t <= ref.sweep_time else max(sweep, _hold_phase(*c, t))
-
-
-def reference_eval(ref: ReferenceSignal, t: float) -> float:
-    """Reference value at time t >= 0: row 0 of `reference_column(ref, [t])`."""
-    return reference_column(ref, [t])[0].item()
 
 
 def reference_column(ref: ReferenceSignal, t: np.ndarray) -> np.ndarray:

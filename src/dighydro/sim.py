@@ -121,7 +121,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         p_draws, pos_draws = draws[0::m], draws[p_noisy::m]
 
     kind = cfg.controller.kind
-    mb = cfg.build_model_based_controller() if kind in ("pressure_model", "pi_pressure") else None
+    mb = cfg.build_model_based_controller(plant) if kind in ("pressure_model", "pi_pressure") else None
     sw = cfg.build_switching_controller() if kind == "switching" else None
     pi = cfg.build_pi_controller() if kind == "pi_pressure" else None
     p_ref_inner = cfg.plant.initial_pressure_pa

@@ -1,7 +1,10 @@
 """CSV trace emission and exact round-trip reading.
 
 Column order is fixed; floats are written with Python's shortest round-trip
-representation so that reading a trace back reproduces it bit for bit.
+representation so that reading a trace back reproduces every value bit for
+bit, except that every NaN reads back as float("nan"), 0x7ff8000000000000:
+repr prints any NaN as `nan`, dropping its sign bit and payload. The
+engine's traces hold no NaN.
 
 The rows are written in self-contained chunks of `CHUNK_ROWS`, which bounds
 the memory the texts take (inside a `shared_reference_texts` scope, see
@@ -254,6 +257,10 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> SimTrace:
+    """The trace `write_trace` wrote at path: its eleven columns, each value
+    bit for bit (a NaN as float("nan")), and the label and control domain
+    from its sidecar. The CSV does not hold the run's books: `dv` is None,
+    and `v_final` 0.0 and `clamp_events` 0 are not the run's."""
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")

@@ -29,13 +29,6 @@ class TubeModelLinear:
             raise ValueError(f"c_a must be finite and > 0, got {self.c_a}")
 
 
-def tube_pressure(model: TubeModelLinear, v: float) -> float:
-    """Tube pressure in Pa for a fluid volume v in m^3."""
-    if v < 0.0:
-        raise ValueError(f"fluid volume must be >= 0, got {v}")
-    return model.c_a * v
-
-
 @dataclass(frozen=True)
 class TipPositionMap:
     """Static pressure-to-tip-position map with optional backlash.

@@ -279,6 +279,11 @@ _LABEL = "[run] label must be a file name: no path separator, NUL or lone surrog
             {"hysteresis.pressure_step_pa": "1e-300"},
             f"[hysteresis] pressure_max_pa / pressure_step_pa must be at most {MAX_STEPS} steps",
         ),
+        # round(10e3 / 3.9e3) = 3 steps put the loop's top at 11.7 kPa.
+        (
+            {"hysteresis.pressure_max_pa": "10e3", "hysteresis.pressure_step_pa": "3.9e3"},
+            "[hysteresis] pressure_max_pa must be a whole multiple of pressure_step_pa",
+        ),
     ],
 )
 def test_each_fault_names_its_key_and_rule(overrides, message):
@@ -390,7 +395,7 @@ def test_percent_is_literal(tmp_path):
 def test_empty_controller_kv_inherits_the_plant_value():
     cfg = load_config(scenario_path("chirp_miscalibrated"), {"controller.ctrl_kv_hp": ""})
     assert cfg.controller.ctrl_kv_hp is None
-    mb = cfg.build_model_based_controller()
+    mb = cfg.build_model_based_controller(cfg.build_plant())
     assert mb.hp_orifice.k_v == cfg.plant.kv_hp
     assert mb.lp_orifice.k_v == cfg.controller.ctrl_kv_lp != cfg.plant.kv_lp
 
@@ -416,7 +421,7 @@ def test_defaults_cross_validate_cleanly():
 def test_controller_copies_are_independent_of_plant():
     cfg = load_config(scenario_path("chirp_miscalibrated"))
     plant = cfg.build_plant()
-    mb = cfg.build_model_based_controller()
+    mb = cfg.build_model_based_controller(plant)
     assert plant.hp_orifice.k_v != mb.hp_orifice.k_v
     assert plant.lp_orifice.k_v != mb.lp_orifice.k_v
 

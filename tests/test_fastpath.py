@@ -30,7 +30,6 @@ from dighydro import (
     load_config,
     model_based_tick,
     reference_column,
-    reference_eval,
     run_simulation,
     scenario_path,
     tip_position,
@@ -414,9 +413,9 @@ _CHIRP = {"kind": "chirp_sine", "f0": 0.1, "f1": 2.0, "lo": 150e3, "hi": 250e3, 
 # Right-continuous steps, two of them at one time.
 @example(sig=({"kind": "step_sequence", "times": (0.0, 1.0, 1.0), "levels": (0.0, 4.0, -2.0)}, 1.0))
 @example(sig=({"kind": "constant", "value": -0.0}, 0.0))
-def test_reference_eval_is_bit_identical_to_plain_path(sig):
+def test_reference_at_one_time_is_bit_identical_to_plain_path(sig):
     fields, t = sig
-    ours = reference_eval(ReferenceSignal(**fields), t)
+    ours = reference_column(ReferenceSignal(**fields), [t])[0].item()
     assert _bits(ours) == _bits(plain.reference_eval(plain.ReferenceSignal(**fields), t))
 
 
@@ -465,7 +464,7 @@ def test_reference_eval_is_bit_identical_to_plain_path(sig):
 def test_reference_column_is_reference_eval_on_every_row(sig, n, dt):
     # The engine builds the column over t = arange(n) * dt before its loop;
     # each row must be the bits the seed copy's reference_eval gives at
-    # k * dt. (The package's reference_eval is row 0 of this column.)
+    # k * dt.
     col = reference_column(ReferenceSignal(**sig[0]), np.arange(n) * dt)
     seed_ref = plain.ReferenceSignal(**sig[0])
     assert col.dtype == np.float64 and len(col) == n

@@ -16,7 +16,7 @@ from dighydro import (
     load_config,
     model_based_tick,
     plant_step,
-    reference_eval,
+    reference_column,
     run_simulation,
     scenario_path,
     sensor_read,
@@ -231,12 +231,11 @@ def test_estimator_replays_plant_without_valve_dynamics():
     cfg = load_config(scenario_path("chirp_matched"), overrides)
     plant = cfg.build_plant()
     state = cfg.build_initial_state(plant)
-    mb = cfg.build_model_based_controller()
-    ref = cfg.build_reference()
+    mb = cfg.build_model_based_controller(plant)
     dt = cfg.run.dt_s
+    refs = reference_column(cfg.build_reference(), np.arange(round(cfg.run.duration_s / dt)) * dt)
     worst = 0.0
-    for k in range(round(cfg.run.duration_s / dt)):
-        r = reference_eval(ref, k * dt)
+    for r in refs.tolist():
         hp, lp, mb = model_based_tick(
             mb, r, cfg.plant.supply_pressure_pa, cfg.plant.tank_pressure_pa
         )

@@ -34,6 +34,8 @@ def test_csv_round_trip_is_exact(tmp_path, scenario_run):
     back = read_trace(path)
     for name in trace.columns:
         assert np.array_equal(trace[name], back[name]), name
+    # The CSV holds no books of the run.
+    assert back.dv is None and back.v_final == 0.0 != trace.v_final and back.clamp_events == 0
 
 
 def test_repeated_writes_are_byte_identical(tmp_path, scenario_run):
@@ -431,6 +433,23 @@ def test_repeated_values_keep_their_signed_zero_texts(tmp_path, monkeypatch, chu
     back = read_trace(path)
     for name in TRACE_COLUMNS:
         assert back[name].tobytes() == values.tobytes(), name
+
+
+def test_a_negative_nan_reads_back_as_a_nan(tmp_path):
+    # 0.0 * inf is the NaN with its sign bit set; repr prints it as "nan",
+    # which reads back as float("nan").
+    with np.errstate(invalid="ignore"):
+        values = np.array([1.0, 0.0, 2.0]) * np.array([1.0, np.inf, 1.0])
+    bits = values.view(np.uint64).tolist()
+    assert bits[1] == 0xFFF8_0000_0000_0000
+    trace = SimTrace(columns={name: values.copy() for name in TRACE_COLUMNS})
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    assert path.read_text().splitlines()[2] == ",".join(["nan"] * len(TRACE_COLUMNS))
+    bits[1] = 0x7FF8_0000_0000_0000
+    back = read_trace(path)
+    for name in TRACE_COLUMNS:
+        assert back[name].view(np.uint64).tolist() == bits, name
 
 
 def test_zero_row_trace_is_only_the_header(tmp_path):
