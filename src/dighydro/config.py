@@ -242,13 +242,12 @@ class ScenarioConfig:
     def build_model_based_controller(self, plant: PlantModel) -> ModelBasedControllerState:
         c = self.controller
         hp, lp = plant.hp_orifice, plant.lp_orifice
-        state = ModelBasedControllerState(
-            tube=plant.tube,
+        model = replace(
+            plant,
             hp_orifice=hp if c.ctrl_kv_hp is None else replace(hp, k_v=c.ctrl_kv_hp),
             lp_orifice=lp if c.ctrl_kv_lp is None else replace(lp, k_v=c.ctrl_kv_lp),
-            tolerance=c.tolerance_pa,
-            sample_period=c.sample_period_s,
         )
+        state = ModelBasedControllerState(model, c.tolerance_pa, c.sample_period_s)
         return model_based_init(state, self.plant.initial_pressure_pa)
 
     def build_switching_controller(self) -> SwitchingControllerState:

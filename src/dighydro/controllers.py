@@ -5,10 +5,11 @@ Three controllers:
 * model-based sensorless pressure control: per tick, hold while the
   estimate is within the tolerance band of the reference; otherwise predict
   the tube pressure after one sample period for each feasible valve
-  combination (hold, pressurize, depressurize) using the controller's own
-  orifice and tube models, pick the combination whose predicted pressure is
-  closest to the reference, and advance the internal volume/pressure
-  estimate with the chosen prediction. No measurement enters the loop.
+  combination (hold, pressurize, depressurize) from the controller's own
+  plant model, pick the combination whose predicted pressure is closest to
+  the reference, and advance the internal volume/pressure estimate with the
+  chosen prediction. The tick takes only the reference: no measurement and
+  no value of the simulated plant enters the loop.
 * switching position control: thresholded three-level switch on the
   position error, choosing once per window which valve the engine pulses.
 * PI outer loop (experimental): turns a position error into a pressure
@@ -20,21 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .orifice import OrificeModel, orifice_flow
-from .tube import TubeModelLinear
+from .orifice import orifice_flow
+from .plant import PlantModel
 
 @dataclass(frozen=True)
 class ModelBasedControllerState:
     """Internal model and estimate of the sensorless pressure controller.
 
-    The orifice and tube models are the controller's own copies; the
-    miscalibration experiments rely on them being independent of the plant
-    truth.
+    `model` is the controller's own plant model: its supply and tank
+    pressures, orifices and tube compliance are all the tick predicts from.
+    It is built from the run's plant with the controller's flow factors, so
+    the miscalibration experiments can set them apart from the plant truth.
     """
 
-    tube: TubeModelLinear
-    hp_orifice: OrificeModel
-    lp_orifice: OrificeModel
+    model: PlantModel
     tolerance: float
     sample_period: float
     est_volume: float = 0.0
@@ -49,14 +49,11 @@ class ModelBasedControllerState:
 
 def model_based_init(state: ModelBasedControllerState, p0: float) -> ModelBasedControllerState:
     """Seed the estimate with a known initial tube pressure."""
-    return replace(state, est_volume=p0 / state.tube.c_a, est_pressure=p0)
+    return replace(state, est_volume=p0 / state.model.tube.c_a, est_pressure=p0)
 
 
 def model_based_tick(
-    state: ModelBasedControllerState,
-    p_ref: float,
-    p_supply: float,
-    p_tank: float,
+    state: ModelBasedControllerState, p_ref: float
 ) -> tuple[bool, bool, ModelBasedControllerState]:
     """One decision tick; returns (hp_cmd, lp_cmd, updated state).
 
@@ -68,22 +65,22 @@ def model_based_tick(
     over the period and the volume clamped at zero (the tube cannot be
     pumped below empty), and the argmin over the three predicted errors
     decides, with exact ties broken hold-first, then pressurize. (ON, ON) is
-    never emitted. Non-finite supply, tank or estimated pressures raise
-    ValueError on every tick, held or not.
+    never emitted. A non-finite estimate raises ValueError on every tick,
+    held or not; the model's supply and tank pressures are finite by
+    construction.
     """
     p = state.est_pressure
-    if not (math.isfinite(p_supply) and math.isfinite(p_tank) and math.isfinite(p)):
-        raise ValueError(
-            f"pressures must be finite, got p_supply={p_supply}, p_tank={p_tank}, est_pressure={p}"
-        )
+    if not math.isfinite(p):
+        raise ValueError(f"est_pressure must be finite, got {p}")
     if abs(p_ref - p) <= state.tolerance:
         return False, False, state
+    model = state.model
     T = state.sample_period
     v = state.est_volume
-    v_hp = max(0.0, v + orifice_flow(state.hp_orifice, 1.0, p_supply, p) * T)
-    v_lp = max(0.0, v + orifice_flow(state.lp_orifice, 1.0, p_tank, p) * T)
-    p_hp = state.tube.c_a * v_hp
-    p_lp = state.tube.c_a * v_lp
+    v_hp = max(0.0, v + orifice_flow(model.hp_orifice, 1.0, model.p_supply, p) * T)
+    v_lp = max(0.0, v + orifice_flow(model.lp_orifice, 1.0, model.p_tank, p) * T)
+    p_hp = model.tube.c_a * v_hp
+    p_lp = model.tube.c_a * v_lp
     # The argmin over (hold, pressurize, depressurize), as min() picks it:
     # a later action wins only on a strictly smaller error, so exact ties
     # keep the earlier one and a NaN error never wins.
@@ -96,15 +93,7 @@ def model_based_tick(
         hp_cmd, lp_cmd, v_new, p_new = False, True, v_lp, p_lp
     # The positional constructor runs __post_init__ as replace() would, at
     # half its cost.
-    new_state = ModelBasedControllerState(
-        state.tube,
-        state.hp_orifice,
-        state.lp_orifice,
-        state.tolerance,
-        state.sample_period,
-        v_new,
-        p_new,
-    )
+    new_state = ModelBasedControllerState(model, state.tolerance, state.sample_period, v_new, p_new)
     return hp_cmd, lp_cmd, new_state
 
 

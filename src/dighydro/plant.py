@@ -27,6 +27,7 @@ step after a clamp does not clamp.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ class PlantModel:
     """Time-invariant plant parameters.
 
     p_supply and p_tank are the absolute supply and tank pressures (Pa),
-    both held constant.
+    both held constant, finite and >= 0.
     """
 
     tube: TubeModelLinear
@@ -51,8 +52,8 @@ class PlantModel:
     p_tank: float
 
     def __post_init__(self) -> None:
-        if not (self.p_supply >= 0.0 and self.p_tank >= 0.0):
-            raise ValueError("absolute pressures must be >= 0")
+        if not (0.0 <= self.p_supply < math.inf and 0.0 <= self.p_tank < math.inf):
+            raise ValueError("absolute pressures must be finite and >= 0")
 
 
 @dataclass(frozen=True)

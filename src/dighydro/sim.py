@@ -166,7 +166,7 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
                 p_ref_inner, pi = pi_tick(pi, r - sensed_pos, cfg.controller.pi_period_s)
             if mb is not None and k % sample_steps == 0:
                 p_ref = r if pi is None else p_ref_inner
-                hp_cmd, lp_cmd, mb = model_based_tick(mb, p_ref, plant.p_supply, plant.p_tank)
+                hp_cmd, lp_cmd, mb = model_based_tick(mb, p_ref)
             if sw is not None:
                 if k % window_steps == 0:
                     pulse = switching_tick(sw, r - sensed_pos)

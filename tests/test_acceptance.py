@@ -18,6 +18,8 @@ import numpy as np
 from dighydro import (
     BUNDLED_SCENARIOS,
     OrificeModel,
+    PlantModel,
+    TipPositionMap,
     hysteresis_sweep,
     load_config,
     orifice_flow,
@@ -81,15 +83,17 @@ def check_2_argmin_matches_bruteforce():
         p_ref = rng.uniform(0.0, 650e3)
         tol = rng.uniform(0.0, 2e4)
 
-        mb = ModelBasedControllerState(
+        model = PlantModel(
             tube=TubeModelLinear(c_a=c_a),
             hp_orifice=OrificeModel(k_v=kv_hp, p_tr=ptr),
             lp_orifice=OrificeModel(k_v=kv_lp, p_tr=ptr),
-            tolerance=tol,
-            sample_period=T,
+            tip_map=TipPositionMap(gain=2e-5),
+            p_supply=p_supply,
+            p_tank=p_tank,
         )
+        mb = ModelBasedControllerState(model, tolerance=tol, sample_period=T)
         mb = model_based_init(mb, est_p)
-        hp, lp, _ = model_based_tick(mb, p_ref, p_supply, p_tank)
+        hp, lp, _ = model_based_tick(mb, p_ref)
 
         def flow(kv, p1, p2):
             dp = p1 - p2

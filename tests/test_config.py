@@ -396,8 +396,8 @@ def test_empty_controller_kv_inherits_the_plant_value():
     cfg = load_config(scenario_path("chirp_miscalibrated"), {"controller.ctrl_kv_hp": ""})
     assert cfg.controller.ctrl_kv_hp is None
     mb = cfg.build_model_based_controller(cfg.build_plant())
-    assert mb.hp_orifice.k_v == cfg.plant.kv_hp
-    assert mb.lp_orifice.k_v == cfg.controller.ctrl_kv_lp != cfg.plant.kv_lp
+    assert mb.model.hp_orifice.k_v == cfg.plant.kv_hp
+    assert mb.model.lp_orifice.k_v == cfg.controller.ctrl_kv_lp != cfg.plant.kv_lp
 
 
 def test_overrides_change_values():
@@ -422,8 +422,8 @@ def test_controller_copies_are_independent_of_plant():
     cfg = load_config(scenario_path("chirp_miscalibrated"))
     plant = cfg.build_plant()
     mb = cfg.build_model_based_controller(plant)
-    assert plant.hp_orifice.k_v != mb.hp_orifice.k_v
-    assert plant.lp_orifice.k_v != mb.lp_orifice.k_v
+    assert plant.hp_orifice.k_v != mb.model.hp_orifice.k_v
+    assert plant.lp_orifice.k_v != mb.model.lp_orifice.k_v
 
 
 # A short run: half a second of each bundled scenario, five switching

@@ -9,7 +9,9 @@ from dighydro import (
     ModelBasedControllerState,
     OrificeModel,
     PiControllerState,
+    PlantModel,
     SwitchingControllerState,
+    TipPositionMap,
     TubeModelLinear,
     load_config,
     model_based_init,
@@ -26,26 +28,23 @@ P_TANK = 0.0
 
 
 def make_mb(est_p=200e3, tolerance=10e3, kv=1e-8, c_a=3.3e11, period=5e-3):
-    state = ModelBasedControllerState(
-        tube=TubeModelLinear(c_a=c_a),
-        hp_orifice=OrificeModel(k_v=kv, p_tr=1e3),
-        lp_orifice=OrificeModel(k_v=kv, p_tr=1e3),
-        tolerance=tolerance,
-        sample_period=period,
-    )
+    orifice = OrificeModel(k_v=kv, p_tr=1e3)
+    tip_map = TipPositionMap(gain=2e-5)
+    model = PlantModel(TubeModelLinear(c_a), orifice, orifice, tip_map, P_SUPPLY, P_TANK)
+    state = ModelBasedControllerState(model, tolerance=tolerance, sample_period=period)
     return model_based_init(state, est_p)
 
 
 class TestModelBasedPressure:
     def test_zero_error_holds(self):
         mb = make_mb(est_p=200e3)
-        hp, lp, mb2 = model_based_tick(mb, 200e3, P_SUPPLY, P_TANK)
+        hp, lp, mb2 = model_based_tick(mb, 200e3)
         assert (hp, lp) == (False, False)
         assert mb2 == mb
 
     def test_within_tolerance_holds_even_if_a_valve_would_be_closer(self):
         mb = make_mb(est_p=200e3, tolerance=10e3)
-        hp, lp, mb2 = model_based_tick(mb, 209e3, P_SUPPLY, P_TANK)
+        hp, lp, mb2 = model_based_tick(mb, 209e3)
         assert (hp, lp) == (False, False)
         assert mb2.est_pressure == 200e3
 
@@ -53,21 +52,21 @@ class TestModelBasedPressure:
         # One HP period raises the estimate to ~210.4 kPa; |250 - 210.4| beats
         # both holding and venting.
         mb = make_mb(est_p=200e3)
-        hp, lp, mb2 = model_based_tick(mb, 250e3, P_SUPPLY, P_TANK)
+        hp, lp, mb2 = model_based_tick(mb, 250e3)
         assert (hp, lp) == (True, False)
         assert mb2.est_pressure == pytest.approx(210.4355e3, rel=1e-4)
         assert mb2.est_pressure == pytest.approx(3.3e11 * mb2.est_volume, rel=1e-12)
 
     def test_depressurize_chosen_when_reference_far_below(self):
         mb = make_mb(est_p=200e3)
-        hp, lp, _ = model_based_tick(mb, 50e3, P_SUPPLY, P_TANK)
+        hp, lp, _ = model_based_tick(mb, 50e3)
         assert (hp, lp) == (False, True)
 
     def test_estimate_consistency_invariant(self):
         mb = make_mb(est_p=123e3)
         for ref in (300e3, 50e3, 180e3, 240e3):
-            _, _, mb = model_based_tick(mb, ref, P_SUPPLY, P_TANK)
-            assert mb.est_pressure == pytest.approx(mb.tube.c_a * mb.est_volume, rel=1e-12)
+            _, _, mb = model_based_tick(mb, ref)
+            assert mb.est_pressure == pytest.approx(mb.model.tube.c_a * mb.est_volume, rel=1e-12)
 
     @given(
         est_p=st.floats(min_value=0.0, max_value=6e5),
@@ -76,7 +75,7 @@ class TestModelBasedPressure:
     )
     def test_never_commands_both_valves(self, est_p, p_ref, tolerance):
         mb = make_mb(est_p=est_p, tolerance=tolerance)
-        hp, lp, _ = model_based_tick(mb, p_ref, P_SUPPLY, P_TANK)
+        hp, lp, _ = model_based_tick(mb, p_ref)
         assert not (hp and lp)
 
     @given(
@@ -90,7 +89,7 @@ class TestModelBasedPressure:
         tolerance = 10e3
         p_ref = est_p + offset * tolerance
         mb = make_mb(est_p=est_p, tolerance=tolerance)
-        hp, lp, mb2 = model_based_tick(mb, p_ref, P_SUPPLY, P_TANK)
+        hp, lp, mb2 = model_based_tick(mb, p_ref)
         # The band is that of the reference as rounded, not of offset.
         if abs(p_ref - est_p) <= tolerance:
             assert (hp, lp) == (False, False)
@@ -107,7 +106,7 @@ class TestModelBasedPressure:
         c_a = 3.3e11
         T = 5e-3
         mb = make_mb(est_p=est_p, tolerance=tolerance, kv=kv, c_a=c_a, period=T)
-        hp, lp, _ = model_based_tick(mb, p_ref, P_SUPPLY, P_TANK)
+        hp, lp, _ = model_based_tick(mb, p_ref)
 
         # independent arithmetic for the three predictions
         def flow(p1, p2):

@@ -294,15 +294,17 @@ _pressure = st.floats(0.0, 6.5e5)
 _non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
 
 
-def _model_based(pkg, kv_hp: float, kv_lp: float, tolerance: float, p0: float):
-    """The same controller, built from the package `pkg`."""
-    state = pkg.ModelBasedControllerState(
-        pkg.TubeModelLinear(3.3e11),
-        pkg.OrificeModel(kv_hp, 1e3),
-        pkg.OrificeModel(kv_lp, 1e3),
-        tolerance,
-        5e-3,
-    )
+def _model_based(pkg, kv_hp, kv_lp, tolerance, p0, p_supply, p_tank):
+    """The same controller, built from the package `pkg`. The package's
+    holds the supply and tank pressures in its plant model; the seed copy's
+    takes them on every tick instead."""
+    tube = pkg.TubeModelLinear(3.3e11)
+    hp, lp = pkg.OrificeModel(kv_hp, 1e3), pkg.OrificeModel(kv_lp, 1e3)
+    if pkg is plain:
+        state = plain.ModelBasedControllerState(tube, hp, lp, tolerance, 5e-3)
+    else:
+        model = pkg.PlantModel(tube, hp, lp, pkg.TipPositionMap(2e-5), p_supply, p_tank)
+        state = pkg.ModelBasedControllerState(model, tolerance, 5e-3)
     return pkg.model_based_init(state, p0)
 
 
@@ -346,12 +348,12 @@ def _model_based(pkg, kv_hp: float, kv_lp: float, tolerance: float, p0: float):
 def test_model_based_tick_is_bit_identical_to_plain_path(
     p0, p_refs, tolerance, kv_hp, kv_lp, p_supply, p_tank
 ):
-    ours = _model_based(dighydro, kv_hp, kv_lp, tolerance, p0)
-    seeds = _model_based(plain, kv_hp, kv_lp, tolerance, p0)
+    ours = _model_based(dighydro, kv_hp, kv_lp, tolerance, p0, p_supply, p_tank)
+    seeds = _model_based(plain, kv_hp, kv_lp, tolerance, p0, p_supply, p_tank)
     for p_ref in p_refs:
         held = abs(p_ref - ours.est_pressure) <= tolerance
         before = ours
-        *cmds, ours = model_based_tick(ours, p_ref, p_supply, p_tank)
+        *cmds, ours = model_based_tick(ours, p_ref)
         hp, lp, seeds = plain.model_based_tick(seeds, p_ref, p_supply, p_tank)
         # repr tells True from 1.
         assert repr(cmds) == repr([hp, lp])
@@ -366,12 +368,18 @@ def test_model_based_tick_is_bit_identical_to_plain_path(
 @pytest.mark.parametrize("tolerance", [10e3, math.inf])
 def test_model_based_tick_raises_on_non_finite_pressures_as_plain_path(bad, where, tolerance):
     # The plain path predicts on every tick, so it raises on any non-finite
-    # pressure; the package must too, inside the band as outside it.
+    # pressure. The package refuses a non-finite supply or tank when its
+    # model is built, and a non-finite estimate on every tick, inside the
+    # band as outside it.
     p = {"p0": 200e3, "p_supply": 600e3, "p_tank": 0.0, where: bad}
-    for pkg in (dighydro, plain):
-        state = _model_based(pkg, 1e-8, 1e-8, tolerance, p["p0"])
-        with pytest.raises(ValueError):
-            pkg.model_based_tick(state, 200e3, p["p_supply"], p["p_tank"])
+    args = (1e-8, 1e-8, tolerance, p["p0"], p["p_supply"], p["p_tank"])
+    seeds = _model_based(plain, *args)
+    with pytest.raises(ValueError):
+        plain.model_based_tick(seeds, 200e3, p["p_supply"], p["p_tank"])
+    with pytest.raises(ValueError):
+        ours = _model_based(dighydro, *args)
+        assert where == "p0"
+        model_based_tick(ours, 200e3)
 
 
 @st.composite

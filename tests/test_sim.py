@@ -236,9 +236,7 @@ def test_estimator_replays_plant_without_valve_dynamics():
     refs = reference_column(cfg.build_reference(), np.arange(round(cfg.run.duration_s / dt)) * dt)
     worst = 0.0
     for r in refs.tolist():
-        hp, lp, mb = model_based_tick(
-            mb, r, cfg.plant.supply_pressure_pa, cfg.plant.tank_pressure_pa
-        )
+        hp, lp, mb = model_based_tick(mb, r)
         state, _ = plant_step(plant, state, hp, lp, dt)
         worst = max(worst, abs(mb.est_pressure - state.p_tube) / max(state.p_tube, 1e3))
     assert worst < 1e-3

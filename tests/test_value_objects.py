@@ -36,16 +36,12 @@ from dighydro import (
 # Distinct timing parameters, so that a constructor argument in the wrong
 # place shows as a changed field.
 VALVE = ValveDynamics(delay=1.1e-3, movement_time=2.3e-3, sticking_time=0.7e-3)
-MB = model_based_init(
-    ModelBasedControllerState(
-        tube=TubeModelLinear(c_a=3.3e11),
-        hp_orifice=OrificeModel(k_v=1.1e-8, p_tr=1e3),
-        lp_orifice=OrificeModel(k_v=0.9e-8, p_tr=2e3),
-        tolerance=4e3,
-        sample_period=5e-3,
-    ),
-    200e3,
+TIP = TipPositionMap(gain=2e-5, sat_lo=0.0, sat_hi=14.0, play_width=15e3)
+PLANT = PlantModel(
+    TubeModelLinear(3.3e11), OrificeModel(1e-8, 1e3), OrificeModel(1e-8, 1e3), TIP, 6e5, 0.0
 )
+MODEL = replace(PLANT, hp_orifice=OrificeModel(1.1e-8, 1e3), lp_orifice=OrificeModel(0.9e-8, 2e3))
+MB = model_based_init(ModelBasedControllerState(MODEL, tolerance=4e3, sample_period=5e-3), 200e3)
 PI = PiControllerState(kp=3e4, ki=2e4, bias=1e5, out_lo=0.0, out_hi=6e5, integral=0.25)
 SENSOR = SensorModel(sample_steps=5, delay_steps=2, quantization=1e3, noise_std=500.0)
 STATE = HydraulicState(1e-6, 3.3e5, VALVE, VALVE, 6.6, 0.5, False)
@@ -66,15 +62,12 @@ INVALID = [
     (MB, {"tolerance": -1.0}),
     (MB, {"sample_period": 0.0}),
     (PI, {"out_lo": 7e5}),
-    (MB.tube, {"c_a": math.inf}),
-    (MB.hp_orifice, {"k_v": math.inf}),
+    (MB.model.tube, {"c_a": math.inf}),
+    (MB.model.hp_orifice, {"k_v": math.inf}),
+    (PLANT, {"p_supply": math.inf}),
+    (PLANT, {"p_tank": math.inf}),
 ]
 
-
-TIP = TipPositionMap(gain=2e-5, sat_lo=0.0, sat_hi=14.0, play_width=15e3)
-PLANT = PlantModel(
-    TubeModelLinear(3.3e11), OrificeModel(1e-8, 1e3), OrificeModel(1e-8, 1e3), TIP, 6e5, 0.0
-)
 CHIRP = ReferenceSignal(kind="chirp_sine", lo=150e3, hi=250e3, sweep_time=30.0)
 STEPS = ReferenceSignal(kind="step_sequence", times=(0.0, 1.0, 2.0), levels=(0.0, 4.0, 2.0))
 
@@ -156,7 +149,12 @@ def test_invalid_values_are_rejected_by_constructor_and_replace(obj, bad):
         replace(obj, **bad)
 
 
-INFINITE = [(MB.tube, "c_a"), (MB.hp_orifice, "k_v"), (SENSOR, "quantization"), (SENSOR, "noise_std")]
+INFINITE = [
+    (MB.model.tube, "c_a"),
+    (MB.model.hp_orifice, "k_v"),
+    (SENSOR, "quantization"),
+    (SENSOR, "noise_std"),
+]
 
 
 @pytest.mark.parametrize("obj, name", INFINITE, ids=[f"{type(o).__name__}-{n}" for o, n in INFINITE])
@@ -224,7 +222,7 @@ def test_model_based_tick_result_equals_the_replace_built_one(p_refs):
     state = MB
     assert_same_fields(state, replace(MB, est_volume=200e3 / 3.3e11, est_pressure=200e3))
     for p_ref in p_refs:
-        _, _, out = model_based_tick(state, p_ref, 600e3, 0.0)
+        _, _, out = model_based_tick(state, p_ref)
         changed = {"est_volume": out.est_volume, "est_pressure": out.est_pressure}
         assert_same_fields(out, replace(state, **changed))
         state = out
