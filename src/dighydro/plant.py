@@ -20,9 +20,10 @@ without evaluating the orifices, the tube or the tip map. The rest of the
 step sees the commands only through the valves, so the memo needs no other
 key. With both valves closed the first step still moves the state (it
 re-canonicalises `p_tube = c_a * v_tube`), so the memo takes over one step
-later. A clamped state is never a fixed point: the supply and tank
-pressures are constant and >= 0, so an empty tube has no outflow and the
-step after a clamp does not clamp.
+later. A state clamped at empty is never a fixed point: the supply and
+tank pressures are constant and >= 0, so an empty tube has no outflow and
+the step after that clamp does not clamp. A state clamped at the supply
+pressure can be one, when the next step books no volume.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ def plant_step(
     """One explicit-Euler step of length dt under held valve commands.
 
     Returns (new_state, dv_applied) where dv_applied is the exact volume
-    change booked into the tube this step (after any clamping at zero), so
-    callers can keep an exact conservation ledger. A dt that is not > 0
-    raises ValueError from the first `valve_step`, which takes the same dt.
+    change booked into the tube this step (after any clamping at empty or
+    at the supply pressure), so callers can keep an exact conservation
+    ledger. A dt that is not > 0 raises ValueError from the first
+    `valve_step`, which takes the same dt.
     """
     global _fixed_point
     hp_valve = valve_step(state.hp_valve, hp_cmd, dt)
@@ -179,7 +181,25 @@ def plant_step(
         v_new = 0.0
         clamped = True
 
-    p_new = plant.tube.c_a * v_new
+    c_a = plant.tube.c_a
+    p_new = c_a * v_new
+    if p_new > plant.p_supply >= state.p_tube and plant.p_tank <= plant.p_supply:
+        # Nor can the supply line, the only inflow while the tank is not
+        # above it, push the tube past the supply pressure. v_top, then dv,
+        # step down until c_a * v_top <= p_supply and v_tube + dv <= v_top,
+        # so the books stay exact (dv < 0 only from an initial state at
+        # p_supply whose volume rounds above v_top).
+        p_supply = plant.p_supply
+        v_top = p_supply / c_a
+        while c_a * v_top > p_supply:
+            v_top = math.nextafter(v_top, 0.0)
+        dv = v_top - state.v_tube
+        while state.v_tube + dv > v_top:
+            dv = math.nextafter(dv, -math.inf)
+        v_new = state.v_tube + dv
+        p_new = c_a * v_new
+        clamped = True
+
     tip, play = tip_position(plant.tip_map, p_new, state.play_out)
 
     # The v_tube compare rejects a moving plant before the full one. A valve

@@ -175,8 +175,9 @@ def run_simulation(cfg: ScenarioConfig) -> SimTrace:
         lp_col[k] = lp_cmd
 
         moved, dv_col[k] = plant_step(plant, state, hp_cmd, lp_cmd, dt)
-        # A fixed point comes back as the input object, and a clamped state
-        # is never a fixed point, so every clamp is a move.
+        # A fixed point comes back as the input object, so clamp_events
+        # counts the moves into a clamped state: a state clamped at the
+        # supply that comes back as a fixed point counts once.
         if moved is not state:
             state = moved
             moves += pack(k + 1, state.v_tube, state.hp_valve.armature, state.lp_valve.armature)

@@ -85,3 +85,24 @@ def test_summary_reproduces_the_committed_records(tag):
 def test_seeds_are_a_closed_range():
     assert bench_pairs.parse_seeds("2301-2305") == [2301, 2302, 2303, 2304, 2305]
     assert bench_pairs.parse_seeds("7") == [7]
+
+
+@pytest.mark.parametrize(
+    "output, expected",
+    [
+        (
+            "....\n====== slowest 10 durations ======\n1.20s call t.py::a\n366 passed in 40.88s\n",
+            (366, 0, 40.88),
+        ),
+        ("F.\n2 failed, 364 passed, 1 error in 81.20s (0:01:21)", (364, 3, 81.2)),
+        ("1 failed, 3 passed, 2 warnings in 5s\n", (3, 1, 5.0)),
+        ("2 errors in 0.31s", (0, 2, 0.31)),
+        ("no tests ran in 0.01s", (0, 0, 0.01)),
+        # A run killed before its summary: nothing to parse.
+        ("....\nKilled\n", (None, None, None)),
+        ("", (None, None, None)),
+    ],
+)
+def test_tier1_summary_line_is_parsed(output, expected):
+    parsed = bench_pairs.parse_tier1(output)
+    assert (parsed["passed"], parsed["failed"], parsed["wall_s"]) == expected

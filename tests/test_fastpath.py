@@ -215,6 +215,41 @@ def _assert_matches_plain_path(name: str, o: dict[str, str]) -> None:
         "run.duration_s": "0.1",
     },
 )
+# Runs past many switching windows, PI ticks and sensor samples with noisy
+# sensors; overrides() draws at most 500 steps.
+@example(
+    name="step_unloaded_p1",
+    o={
+        "controller.kind": "pi_pressure",
+        "run.duration_s": "2",
+        "reference.step_times_s": "0, 0.5, 1.2",
+        "reference.step_levels": "1, 6, 3",
+        "sensor.pressure_noise_std_pa": "500",
+        "sensor.position_noise_std_mm": "0.02",
+    },
+)
+@example(
+    name="step_loaded",
+    o={
+        "run.duration_s": "1.5",
+        "sensor.pressure_noise_std_pa": "500",
+        "sensor.position_noise_std_mm": "0.02",
+        "sensor.pressure_quantization_pa": "1e3",
+    },
+)
+@example(
+    name="step_unloaded_p2",
+    o={
+        "run.duration_s": "1.2",
+        "controller.window_s": "0.01",
+        "controller.duty": "0.5",
+        "sensor.position_noise_std_mm": "0.02",
+    },
+)
+@example(
+    name="chirp_miscalibrated",
+    o={"run.duration_s": "2", "sensor.pressure_noise_std_pa": "500"},
+)
 def test_memo_is_bit_identical_to_plain_path(name, o):
     _assert_matches_plain_path(name, o)
 

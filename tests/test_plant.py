@@ -1,7 +1,10 @@
 import math
+import struct
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dighydro.plant as plant_module
 from dighydro import (
@@ -143,6 +146,50 @@ def test_draining_clamps_at_empty_and_flags():
         assert state.v_tube >= 0.0
     assert clamps == 1
     assert state.p_tube == 0.0
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.seeded
+@settings(max_examples=200)
+@given(
+    c_a=st.floats(1e5, 1e300),
+    p_supply=st.floats(1e-3, 1e8),
+    kv=st.floats(1e-12, 1e12),
+    start=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    dt=st.sampled_from([1e-4, 5e-4, 1e-3]),
+)
+# c_a * (p_supply / c_a) rounds to 994.098674793112, past this supply, so a
+# tube stopped at p_supply / c_a would pass it.
+@example(c_a=1.0032447596048509e186, p_supply=994.0986747931119, kv=1e12, start=0.0, dt=5e-4)
+def test_the_tube_never_passes_the_supply_pressure(c_a, p_supply, kv, start, dt):
+    # The supply line is the only inflow, so a tube that starts at or below
+    # the supply pressure stays there with the HP valve held open, at any
+    # flow factor and step. Each step's books are exact, and the clamp
+    # settles within two moves: later clamped steps are fixed points.
+    orifice = OrificeModel(k_v=kv, p_tr=1e3)
+    plant = PlantModel(TubeModelLinear(c_a), orifice, orifice, TipPositionMap(2e-5), p_supply, 0.0)
+    state = make_state(plant, p_tube=start * p_supply)
+    clamps = 0
+    for _ in range(40):
+        after, dv = plant_step(plant, state, True, False, dt)
+        assert _bits(state.v_tube + dv) == _bits(after.v_tube)
+        assert after.p_tube <= p_supply
+        clamps += after is not state and after.clamped
+        state = after
+    assert clamps <= 2
+
+
+def test_a_tank_above_the_supply_fills_the_tube_past_it():
+    # The supply clamp holds only where the supply is the highest pressure.
+    plant = replace(make_plant(), p_supply=100e3, p_tank=600e3)
+    state = make_state(plant, p_tube=0.0)
+    for _ in range(2000):
+        state, _ = plant_step(plant, state, False, True, 5e-4)
+        assert not state.clamped
+    assert state.p_tube > 550e3
 
 
 def test_pressure_stays_between_tank_and_supply():

@@ -250,6 +250,43 @@ def test_halving_dt_barely_moves_the_chirp_endpoint(scenario_run):
     assert abs(p_coarse - p_fine) / p_fine < 0.01
 
 
+def test_sensorless_commands_do_not_depend_on_the_plant(scenario_run):
+    # The two chirps differ only in the plant's flow factors, and the
+    # controller reads nothing from the plant: its commands are the same,
+    # bit for bit, while the tube pressure is not.
+    _, matched = scenario_run("chirp_matched")
+    _, miscal = scenario_run("chirp_miscalibrated")
+    for column in ("hp_cmd", "lp_cmd", "ref"):
+        assert matched[column].tobytes() == miscal[column].tobytes(), column
+    assert matched["hp_cmd"].any() and matched["lp_cmd"].any()
+    assert matched["p_tube"].tobytes() != miscal["p_tube"].tobytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        (("plant.kv_hp", "1e12"), ("run.duration_s", "3")),
+        (("plant.kv_hp", "1e300"), ("run.duration_s", "3")),
+        (
+            ("plant.kv_hp", "1.4065526409925564e+297"),
+            ("controller.kind", "pi_pressure"),
+            ("run.duration_s", "1"),
+        ),
+    ],
+    ids=["kv_hp-1e12", "kv_hp-1e300", "pi-kv_hp-1.4e297"],
+)
+def test_an_overshooting_flow_factor_stops_at_the_supply(scenario_run, overrides):
+    # Without the supply clamp the first drove the tube to 1.28e23 Pa, past
+    # the 600 kPa supply, and the others to inf, where orifice_flow raised.
+    cfg, trace = scenario_run("chirp_miscalibrated", overrides)
+    assert len(trace) == round(cfg.run.duration_s / cfg.run.dt_s)
+    assert trace["p_tube"].max() <= cfg.plant.supply_pressure_pa
+    assert trace.clamp_events == 1
+    v, dv = trace["v_tube"], trace.dv
+    assert (v[:-1] + dv[:-1]).tobytes() == v[1:].tobytes()
+    assert (v[-1] + dv[-1]).tobytes() == np.float64(trace.v_final).tobytes()
+
+
 def test_miscalibrated_plant_tracks_worse(scenario_run):
     _, matched = scenario_run("chirp_matched")
     _, miscal = scenario_run("chirp_miscalibrated")

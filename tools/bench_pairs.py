@@ -16,6 +16,11 @@ even-numbered ones. Each side's record is the run's last output line,
 unedited; a run that exits non-zero or whose last line is not JSON stops
 the script, naming the pair.
 
+After the pairs each tree runs the tier-1 tests once, as CI runs them
+(`TIER1`, with `src` on PYTHONPATH), and the record keeps each side's
+passed and failed counts and wall time from pytest's summary line. A
+failing suite is recorded, not fatal: its failures count in `failed`.
+
 The summary of each workload is computed from its pairs by `summarize`, as
 the committed BENCH_*.json files define it: quartiles by
 `statistics.quantiles(n=4)` rounded to 5 places, the number of pairs in
@@ -31,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +47,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 SIDES = ("parent", "change")
+# The tier-1 tests as CI runs them, after `python`.
+TIER1 = [
+    *("-X", "dev", "-m", "pytest", "-q", "-W", "error"),
+    *("--continue-on-collection-errors", "--durations=10"),
+]
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -114,6 +125,32 @@ def run_side(tree: Path, workload: str, seed: int, timing: list[str], where: str
         sys.exit(f"{where}: the last output line is not JSON: {lines[-1:]!r}")
 
 
+def parse_tier1(output: str) -> dict:
+    """passed, failed and wall_s from the last line of `pytest -q` output,
+    such as `2 failed, 364 passed, 1 error in 81.20s (0:01:21)`; an error
+    counts as a failure, and a missing count or time is None."""
+    lines = output.strip().splitlines()
+    last = lines[-1] if lines else ""
+    counts: dict[str, int] = {}
+    for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", last):
+        word = "failed" if word.startswith("error") else word
+        counts[word] = counts.get(word, 0) + int(n)
+    wall = re.search(r" in (\d+(?:\.\d+)?)s\b", last)
+    return {
+        "passed": counts.get("passed", 0) if wall else None,
+        "failed": counts.get("failed", 0) if wall else None,
+        "wall_s": float(wall.group(1)) if wall else None,
+    }
+
+
+def run_tier1(tree: Path) -> dict:
+    """The tier-1 tests of tree, run once: the parse of their summary."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    return parse_tier1(done.stdout)
+
+
 def machine() -> dict:
     import numpy
 
@@ -155,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
                     pair[side] = run_side(trees[side], workload, seed, timing, where)
                     print(f"{where}: {json.dumps(pair[side])}", flush=True)
                 pairs[workload].append(pair)
+        tier1 = {side: run_tier1(trees[side]) for side in SIDES}
+        print(f"tier-1: {json.dumps(tier1)}", flush=True)
     seeds = f"seeds {args.seeds[0]}-{args.seeds[-1]}" if len(args.seeds) > 1 else f"seed {args.seeds[0]}"
     record = {
         "what": (
@@ -162,14 +201,15 @@ def main(argv: list[str] | None = None) -> int:
             " each side run from its own `git archive` extract, reused by every run of that side,"
             f" with `python3 perfbench/run.py --workload W --seed S {' '.join(timing)} --trace 0`"
             f" ({seeds}); the parent runs first in odd-numbered pairs. Each side's record is"
-            " the run's last output line, unedited. Written by tools/bench_pairs.py, whose"
-            " docstring defines the summary."
+            " the run's last output line, unedited. Each tree then runs its tier-1 tests once"
+            " (`tier1`). Written by tools/bench_pairs.py, whose docstring defines the summary."
         ),
         "parent": refs["parent"],
         "change": refs["change"],
         "machine": machine(),
         "pairs": pairs,
         "summary": {w: summarize(p, spec["end_to_end"]) for w, p in pairs.items()},
+        "tier1": {"command": f"PYTHONPATH=src python {' '.join(TIER1)}", **tier1},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
