@@ -75,7 +75,9 @@ def test_summary_counts_failed_calls_per_side_and_one_pair():
     assert summary["wall_s"]["median_gap_exceeds_parent_iqr"]
 
 
-@pytest.mark.parametrize("tag", ["pr19", "pr20", "pr21", "pr22", "pr23", "pr24", "pr25", "pr26"])
+@pytest.mark.parametrize(
+    "tag", ["pr19", "pr20", "pr21", "pr22", "pr23", "pr24", "pr25", "pr26", "pr27"]
+)
 def test_summary_reproduces_the_committed_records(tag):
     record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())
     for workload, pairs in record["pairs"].items():
