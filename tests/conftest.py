@@ -4,7 +4,8 @@ import gc
 
 import pytest
 
-from dighydro import load_config, run_simulation, scenario_path
+from dighydro import load_config, run_simulation, scenario_path, write_trace
+from dighydro.sim import TRACE_COLUMNS
 
 
 # A large tank orifice at a coarse step overshoots empty on the way down to
@@ -48,3 +49,12 @@ def collector_passes():
         yield passes
     finally:
         gc.callbacks.remove(count)
+
+
+def assert_writes_plain_repr(trace, path) -> None:
+    """write_trace writes trace to path as the plain row-by-row repr of its
+    columns."""
+    write_trace(trace, path)
+    rows = zip(*(trace[name].tolist() for name in TRACE_COLUMNS))
+    plain = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n" + plain

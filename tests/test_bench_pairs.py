@@ -108,3 +108,23 @@ def test_seeds_are_a_closed_range():
 def test_tier1_summary_line_is_parsed(output, expected):
     parsed = bench_pairs.parse_tier1(output)
     assert (parsed["passed"], parsed["failed"], parsed["wall_s"]) == expected
+
+
+def test_tier1_rounds_alternate_the_sides_and_keep_each_run():
+    # Three rounds: parent first in rounds 1 and 3, change first in round 2.
+    # A run killed before its summary has no wall time, and no median.
+    trees = {"parent": "p", "change": "c"}
+    walls = iter([30.0, 40.0, 42.0, 31.0, 29.0, None])
+    order = []
+
+    def fake(tree):
+        order.append(tree)
+        wall = next(walls)
+        return {"passed": 5 if wall else None, "failed": 0 if wall else None, "wall_s": wall}
+
+    tier1 = bench_pairs.tier1_rounds(trees, 3, run=fake)
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    assert [r["wall_s"] for r in tier1["parent"]["runs"]] == [30.0, 31.0, 29.0]
+    assert tier1["parent"]["median_wall_s"] == 30.0
+    assert [r["wall_s"] for r in tier1["change"]["runs"]] == [40.0, 42.0, None]
+    assert tier1["change"]["median_wall_s"] is None

@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dighydro import (
@@ -29,6 +29,8 @@ from dighydro.config import (
     read_raw,
 )
 from dighydro.experiments import settle_band
+
+from conftest import assert_writes_plain_repr
 
 
 def test_bundled_scenarios_validate():
@@ -494,7 +496,7 @@ def key_values(draw):
 
 
 @pytest.mark.seeded
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kv=key_values())
 # Values that overflowed before signal levels were bounded: the squared
 # tracking error (the first two) and a sensed column (the last two).
@@ -502,10 +504,13 @@ def key_values(draw):
 @example(kv=("chirp_matched", "reference.chirp_hi", "1e300"))
 @example(kv=("chirp_matched", "sensor.pressure_noise_std_pa", "1.7e308"))
 @example(kv=("step_unloaded_p1", "sensor.position_noise_std_mm", "1.7e308"))
-def test_any_value_of_any_key_is_refused_or_runs(kv):
+def test_any_value_of_any_key_is_refused_or_runs(tmp_path, kv):
     # Every value load_config accepts gives a run that completes without a
     # warning, with finite columns and metrics, and a finite hysteresis
-    # loop where its staircase is short.
+    # loop where its staircase is short. Its trace is written as the plain
+    # row-by-row repr of its columns: fuzzed keys reach texts no bundled
+    # run prints, such as pressures past 1e16 Pa and values in the band
+    # 1e-5 <= |x| < 1e-4.
     name, dotted, text = kv
     base, overrides = SCENARIOS[name]
     try:
@@ -527,3 +532,4 @@ def test_any_value_of_any_key_is_refused_or_runs(kv):
         assert np.isfinite(values).all(), column
     assert np.isfinite(trace.dv).all() and math.isfinite(trace.v_final)
     assert all(math.isfinite(x) for x in astuple(metrics) if isinstance(x, float))
+    assert_writes_plain_repr(trace, tmp_path / "trace.csv")

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import json
@@ -18,7 +17,6 @@ from dighydro import (
     run_simulation,
     scenario_path,
     sweep,
-    traceio,
 )
 from dighydro.cli import main
 from dighydro.metrics import read_metrics
@@ -220,81 +218,19 @@ def test_sweep_runs_the_configs_it_checked(tmp_path, monkeypatch):
     assert len(loads) == len(values) + 1
 
 
-def _spy_on_shared_texts(monkeypatch) -> list:
-    """Wrap experiments.write_trace to record, for each write, the store of
-    shared reference texts in force and its keys before and after it."""
-    import dighydro.experiments as exp
-
-    writes = []
-    write_trace = exp.write_trace
-
-    def spied(trace, path):
-        store = traceio._REF_TEXTS.get()
-        before = set(store)
-        write_trace(trace, path)
-        writes.append((store, before, set(store)))
-
-    monkeypatch.setattr(exp, "write_trace", spied)
-    return writes
-
-
-@pytest.mark.parametrize(
-    "parameter, values, shared",
-    [
-        # The plant does not move the reference: every run after the first
-        # finds all of its reference texts in the store.
-        ("plant.kv_lp", ["1.58e-8", "1.2e-8", "2e-8"], True),
-        # Each value has its own reference, so no run finds one to share.
-        ("reference.chirp_f1_hz", ["1.0", "2.0", "3.0"], False),
-    ],
-)
-def test_sweep_writes_what_its_configs_write_alone(tmp_path, monkeypatch, parameter, values, shared):
-    import dighydro.experiments as exp
-
+def test_sweep_writes_what_its_configs_write_alone(tmp_path):
+    parameter, values = "plant.kv_lp", ["1.58e-8", "1.2e-8", "2e-8"]
     config, overrides = scenario_path("chirp_miscalibrated"), {"run.duration_s": "3"}
-    writes = _spy_on_shared_texts(monkeypatch)
     sweep(config, parameter, values, tmp_path / "sweep", overrides)
-    store = writes[0][0]
-    assert all(w[0] is store for w in writes) and store == {}
-    assert traceio._REF_TEXTS.get() is None
-    for _, before, after in writes[1:]:
-        assert after and (before == after if shared else before.isdisjoint(after))
-
-    # The same configs outside any scope: run alone, and swept without one.
-    monkeypatch.undo()
     for i, value in enumerate(values):
         label = {parameter: value, "run.label": f"chirp_miscalibrated_{i:03d}"}
         run_scenario(config, tmp_path / "alone", {**overrides, **label})
-    monkeypatch.setattr(exp, "shared_reference_texts", contextlib.nullcontext)
-    sweep(config, parameter, values, tmp_path / "plain", overrides)
 
-    names = sorted(path.name for path in (tmp_path / "sweep").iterdir())
-    assert names == sorted(path.name for path in (tmp_path / "plain").iterdir())
-    assert len(names) == 3 * len(values) + 1
+    names = sorted(path.name for path in (tmp_path / "sweep").iterdir() if not path.name.endswith("_sweep.csv"))
+    assert names == sorted(path.name for path in (tmp_path / "alone").iterdir())
+    assert len(names) == 3 * len(values)
     for name in names:
-        written = (tmp_path / "sweep" / name).read_bytes()
-        assert written == (tmp_path / "plain" / name).read_bytes(), name
-        if not name.endswith("_sweep.csv"):
-            assert written == (tmp_path / "alone" / name).read_bytes(), name
-
-
-def test_failed_sweep_drops_its_shared_texts(tmp_path, monkeypatch):
-    import dighydro.experiments as exp
-
-    def fail_second(cfg):
-        if cfg.plant.kv_lp == 2e-8:
-            raise RuntimeError("mid-sweep failure")
-        return run_simulation(cfg)
-
-    writes = _spy_on_shared_texts(monkeypatch)
-    monkeypatch.setattr(exp, "run_simulation", fail_second)
-    overrides = {"run.duration_s": "2"}
-    with pytest.raises(RuntimeError, match="mid-sweep"):
-        sweep(scenario_path("chirp_miscalibrated"), "plant.kv_lp", ["1e-8", "2e-8"], tmp_path, overrides)
-    [(store, _, after)] = writes
-    assert after and store == {}
-    assert traceio._REF_TEXTS.get() is None
-    assert list(tmp_path.iterdir()) == []
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
 
 
 def test_sweep_refuses_an_empty_value_list(tmp_path):

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -24,7 +23,7 @@ from dighydro import (
 from dighydro.experiments import settle_band
 from dighydro.sim import TRACE_COLUMNS
 
-from conftest import collector_passes
+from conftest import assert_writes_plain_repr, collector_passes
 
 
 def test_csv_round_trip_is_exact(tmp_path, scenario_run):
@@ -52,14 +51,7 @@ def test_writer_matches_plain_row_by_row_repr(tmp_path, monkeypatch, scenario_ru
     monkeypatch.setattr(traceio, "CHUNK_ROWS", chunk_rows)
     noisy = (("sensor.pressure_noise_std_pa", "500"), ("run.duration_s", "3"))
     _, trace = scenario_run("chirp_matched", noisy)
-    _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
-
-
-def _assert_writes_plain_repr(trace: SimTrace, path) -> None:
-    write_trace(trace, path)
-    rows = zip(*(trace[name].tolist() for name in TRACE_COLUMNS))
-    plain = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    assert path.read_text() == ",".join(TRACE_COLUMNS) + "\n" + plain
+    assert_writes_plain_repr(trace, tmp_path / "trace.csv")
 
 
 # Signed zeros, subnormals, the smallest normal, and the non-finite values.
@@ -78,12 +70,9 @@ def _dense(start: float, step: float | None, n: int) -> list[float]:
     return col[:n]
 
 
-# Step sizes m * 10**-e. The writer prints t from the decimal grid of its
-# step, the value in row 1 of t, where the grid's table of fractions is
-# short: 5e-05 and 1e-05 (whose small t repr prints in exponent form) and
-# 1.234567e-4 have long tables and skip it, 1e20 has e < 0 and m >= 2**52
-# and skips it too, and 6.25e-5 has a grid value below 1e-4, which must
-# not take it.
+# Step sizes m * 10**-e: t = arange(n) * dt, as the engine builds it, and
+# with 5e-05, 1e-05 and 6.25e-5 values in the band 1e-5 <= t < 1e-4 and
+# below it, where repr uses an exponent; 1e20 gives exponents past 1e16.
 _STEPS = (0.0, 5e-4, 1e-4, 6.25e-5, 5e-05, 1e-05, 0.1, 2.0, 1.5, 1.234567e-4, 1e20, 7.0)
 _decimal = st.builds(lambda m, e: float(f"{m}e{-e}"), st.integers(1, 10**4), st.integers(-3, 8))
 _step = st.sampled_from(_STEPS) | _decimal
@@ -98,23 +87,12 @@ _NUDGES = {
 }
 
 
-def _t_cols(t: list[float]) -> list[list[float]]:
-    """Columns with the time column t and every other column 1.0."""
-    return [t] + [[1.0] * len(t)] * (len(TRACE_COLUMNS) - 1)
-
-
-_TENTHS = [k * 0.1 for k in range(9)]
-
-# Rows of a second trace's ref to nudge; none makes it the first's.
-_ref_nudges = st.dictionaries(st.integers(0, 39), st.sampled_from(sorted(_NUDGES)), max_size=3)
-
-
 @st.composite
 def _columns(draw) -> list[list[float]]:
     """Eleven equal-length columns, each dense, constant, dense up to some
     row and constant after it, or drawn freely; sometimes every column
     dense, or every column constant. Sometimes t is arange(n) * dt for the
-    drawn dt, with a few rows nudged off its grid."""
+    drawn dt, with a few rows nudged."""
     n = draw(st.integers(0, 40))
     every = draw(st.sampled_from(("dense", "constant", None)))
     cols = []
@@ -141,13 +119,25 @@ def _columns(draw) -> list[list[float]]:
     return cols
 
 
+# A quiet NaN with a payload; repr prints it as nan.
+PAYLOAD_NAN = float(np.uint64(0x7FF8_0000_DEAD_BEEF).view(np.float64))
+
+
+def _at(x: float) -> list[list[float]]:
+    """Columns that hold x in a dense column, ref, which alternates x with
+    -x, and in tail columns that hold it for runs of rows."""
+    n = 5
+    return [
+        [k * 0.1 for k in range(n)],
+        [x, -x, x, -x, x],
+        [x] * n,
+        [1.0, x, x, -x, -x],
+    ] + [[1.0] * n] * (len(TRACE_COLUMNS) - 4)
+
+
 @pytest.mark.seeded
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)),
-    cols=_columns(),
-    nudges=st.none() | _ref_nudges,
-)
+@given(chunk_rows=st.sampled_from((1, 2, 7, traceio.CHUNK_ROWS)), cols=_columns())
 # A dense leading t that stops changing mid-chunk, ahead of dense and
 # constant columns.
 @example(
@@ -156,7 +146,6 @@ def _columns(draw) -> list[list[float]]:
     + [[k * 1.5 for k in range(9)]] * 2
     + [[-0.0] * 9, [5e-324] * 9, [math.nan] * 9, [math.inf] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, -math.inf, 0.0]] * 4,
-    nudges=None,
 )
 # The two edge layouts of a chunk's pieces: no dense column at all (a
 # constant t), and every column dense but the last (only sensed_p repeats,
@@ -166,70 +155,48 @@ def _columns(draw) -> list[list[float]]:
     cols=[[0.5] * 9]
     + [_dense(0.0, None, 9), [-0.0] * 9]
     + [[0.0, -0.0, -0.0, 0.0, 1e-310, 1e-310, -math.inf, math.nan, math.nan]] * 8,
-    nudges=None,
 )
 @example(
     chunk_rows=7,
     cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
     + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
-    nudges=None,
 )
-# The same columns written twice in one scope, the second time with -0.0 in
-# ref's first chunk: that chunk takes its own texts, the second shares them.
-@example(
-    chunk_rows=7,
-    cols=[_dense(float(i), 0.5, 9) for i in range(len(TRACE_COLUMNS) - 1)]
-    + [[1.0, 1.0, -0.0, 0.0, 0.0, 5e-324, 5e-324, 2.0, 2.0]],
-    nudges={3: "negative zero"},
-)
-# t on the grid of its step 0.1, whose second chunk crosses a whole second;
-# 0.30000000000000004 and 0.7000000000000001 are off the grid.
-@example(chunk_rows=7, cols=[[k * 0.1 for k in range(14)]] + [[1.0] * 14] * 10, nudges=None)
-# The grid of the step 6.25e-5 holds 6.25e-05 below 1e-4, which repr prints in
-# exponent form, and 0.000125 above it.
-@example(
-    chunk_rows=traceio.CHUNK_ROWS,
-    cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10,
-    nudges=None,
-)
-# m = 3002399751580331 < 2**52 but 3 * m = 2**53 + 1, whose nearest double
-# 2**53 has t[3]'s bits and prints as 9007199254740992.0: row 3 lies past
-# the k * m < 2**52 bound and must take repr.
-@example(
-    chunk_rows=traceio.CHUNK_ROWS,
-    cols=[[k * 3002399751580331.0 for k in range(5)]] + [[1.0] * 5] * 10,
-    nudges=None,
-)
-# The step is row 1 of t: a one-row trace has none. A row 1 one ulp off
-# 0.1, or -0.0, NaN or inf there, has no grid either, and every row takes
-# its repr. A t that starts at 2.0 has the step 2.25, on whose grid only
-# row 1 lies.
-@example(chunk_rows=7, cols=_t_cols([0.5]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, 0.5]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, math.nextafter(0.1, math.inf)] + _TENTHS[2:]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, math.nextafter(0.1, -math.inf)] + _TENTHS[2:]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, -0.0] + _TENTHS[2:]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, math.nan] + _TENTHS[2:]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([0.0, math.inf] + _TENTHS[2:]), nudges=None)
-@example(chunk_rows=7, cols=_t_cols([2.0 + k * 0.25 for k in range(9)]), nudges=None)
-def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols, nudges):
-    # With nudges the trace is written, then a copy whose ref has the rows
-    # nudges names nudged, in one scope that shares their reference texts.
+# The step 6.25e-5 puts t[1] in the band, where orjson writes fixed
+# notation and repr an exponent, and t[2] above it.
+@example(chunk_rows=traceio.CHUNK_ROWS, cols=[[k * 6.25e-5 for k in range(5)]] + [[1.0] * 5] * 10)
+# Each side of each boundary of repr's notation and of orjson's, and the
+# values orjson writes as null or with a short exponent.
+@example(chunk_rows=2, cols=_at(1e-5))
+@example(chunk_rows=2, cols=_at(math.nextafter(1e-5, 0.0)))
+@example(chunk_rows=2, cols=_at(math.nextafter(1e-4, 0.0)))
+@example(chunk_rows=2, cols=_at(1e-4))
+@example(chunk_rows=2, cols=_at(math.nextafter(1e16, 0.0)))
+@example(chunk_rows=2, cols=_at(1e16))
+@example(chunk_rows=2, cols=_at(1.5e-7))
+@example(chunk_rows=2, cols=_at(1e22))
+@example(chunk_rows=2, cols=_at(5e-324))
+@example(chunk_rows=2, cols=_at(-0.0))
+@example(chunk_rows=2, cols=_at(PAYLOAD_NAN))
+@example(chunk_rows=2, cols=_at(-math.inf))
+def test_writer_matches_plain_row_by_row_repr_on_any_columns(tmp_path, chunk_rows, cols):
     columns = {name: np.array(col, dtype=float) for name, col in zip(TRACE_COLUMNS, cols)}
-    trace = SimTrace(columns=columns)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "CHUNK_ROWS", chunk_rows)
-        if nudges is None:
-            _assert_writes_plain_repr(trace, tmp_path / "trace.csv")
-            return
-        ref = columns["ref"].copy()
-        for k, nudge in nudges.items():
-            if k < len(ref):
-                ref[k] = _NUDGES[nudge](ref[k])
-        second = SimTrace(columns={**columns, "ref": ref})
-        with traceio.shared_reference_texts():
-            _assert_writes_plain_repr(trace, tmp_path / "first.csv")
-            _assert_writes_plain_repr(second, tmp_path / "second.csv")
+        assert_writes_plain_repr(SimTrace(columns=columns), tmp_path / "trace.csv")
+
+
+def test_texts_are_repr_on_a_million_bit_patterns_and_the_powers_of_ten():
+    # Uniform 64-bit patterns hold every notation of repr, with NaN payloads
+    # and subnormals among them. Every power of ten from the smallest
+    # subnormal to the largest double and both its neighbours cross each
+    # notation boundary from both sides.
+    rng = np.random.default_rng(2028)
+    patterns = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    special = [0.0, 5e-324, 1e-310, math.inf, PAYLOAD_NAN, math.nan]
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), special])
+    for col in (patterns, np.concatenate([near, -near])):
+        assert traceio._reprs(col) == list(map(repr, col.tolist()))
 
 
 @pytest.mark.parametrize("step", [1.234567e-4, 1e-4, 7.0])
@@ -237,17 +204,13 @@ def test_writer_memory_is_bounded_by_the_chunk_not_the_trace(tmp_path, step):
     # Dense t and ref ahead of columns that hold each value for four rows:
     # every row has its own text, so a writer that held the text of the
     # whole trace at once would need about ten times the memory on ten
-    # times the rows. The step 1.234567e-4 has no usable grid, so t takes
-    # repr; 1e-4 prints t from its grid, and 7.0 too, with a whole part of
-    # its own on every row.
+    # times the rows. The three steps give t texts of different lengths.
     def write_peak(rows: int) -> int:
         rng = np.random.default_rng(7)
         columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
         columns["t"] = np.arange(rows) * step
         columns["ref"] = rng.standard_normal(rows)
         trace = SimTrace(columns=columns)
-        # Each write builds its own table of fractions, as a first one would.
-        traceio._time_grid.cache_clear()
         tracemalloc.start()
         try:
             write_trace(trace, tmp_path / "trace.csv")
@@ -291,77 +254,6 @@ def test_writing_a_busy_trace_runs_no_collector_pass(tmp_path, scenario_run, job
         sweep(scenario_path("chirp_matched"), "plant.kv_hp", values, tmp_path, dict(BUSY_CHIRP))
         backs = [read_trace(path) for path in sorted(tmp_path.glob("*_trace.csv"))]
     assert len(backs) == 2 and len(passes) <= 1, passes
-
-
-@pytest.mark.parametrize("shares", [True, False], ids=["same ref", "other ref"])
-def test_shared_reference_texts_hold_one_trace_between_writes_and_two_during_one(tmp_path, shares):
-    # Inside a scope the store grows with the trace, not the chunk. Between
-    # writes it holds one trace's ref texts. While a second trace is written
-    # it adds to the memory of a write outside the scope the first trace's
-    # store, and, when the second shares no chunk, a second store as large.
-    rows = 40 * traceio.CHUNK_ROWS
-    rng = np.random.default_rng(7)
-    columns = {name: np.repeat(rng.standard_normal(rows // 4), 4) for name in TRACE_COLUMNS}
-    columns["t"] = np.arange(rows) * 1e-4
-    first = SimTrace(columns={**columns, "ref": rng.standard_normal(rows)})
-    second = first if shares else SimTrace(columns={**columns, "ref": rng.standard_normal(rows)})
-    write_trace(second, tmp_path / "alone.csv")
-    tracemalloc.start()
-    try:
-        write_trace(second, tmp_path / "alone.csv")
-        alone = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    with traceio.shared_reference_texts():
-        store = traceio._REF_TEXTS.get()
-        tracemalloc.start()
-        try:
-            write_trace(first, tmp_path / "first.csv")
-            size = sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in store.items())
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            write_trace(second, tmp_path / "second.csv")
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(store) == 40
-    assert held < 1.1 * size and after < 1.1 * size, (size, held, after)
-    assert peak - held < alone + (0 if shares else size) + 0.1 * size, (alone, size, held, peak)
-
-
-@pytest.mark.parametrize(
-    "row, value",
-    [(5, "one ulp up"), (3 * 1024 - 1, "one ulp down"), (3 * 1024 // 2, "-0.0")],
-)
-def test_shared_reference_texts_print_a_changed_ref_as_it_is(tmp_path, row, value):
-    # A dense ref over three chunks that holds 0.0 at its middle row. A
-    # second trace whose ref differs in one row's bits prints as it does
-    # outside the scope; a third, bit-equal to the first, shares all its
-    # chunks' texts.
-    n = 3 * traceio.CHUNK_ROWS
-    columns = {name: np.arange(n) * 1e-4 + i for i, name in enumerate(TRACE_COLUMNS)}
-    columns["ref"] = (np.arange(n) - n // 2) * 0.25
-    assert columns["ref"][row] == 0.0 or value != "-0.0"
-    changed = columns["ref"].copy()
-    if value == "-0.0":
-        changed[row] = -0.0
-    else:
-        changed[row] = np.nextafter(changed[row], np.inf if value == "one ulp up" else -np.inf)
-    first = SimTrace(columns=columns)
-    second = SimTrace(columns={**columns, "ref": changed})
-    write_trace(second, tmp_path / "alone.csv")
-    with traceio.shared_reference_texts():
-        store = traceio._REF_TEXTS.get()
-        write_trace(first, tmp_path / "first.csv")
-        keys = set(store)
-        write_trace(second, tmp_path / "second.csv")
-        assert len(store) == 3 and len(keys & set(store)) == 2
-        write_trace(first, tmp_path / "third.csv")
-        assert set(store) == keys
-    assert store == {} and traceio._REF_TEXTS.get() is None
-    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-    _assert_writes_plain_repr(second, tmp_path / "plain.csv")
-    assert (tmp_path / "third.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 @pytest.mark.parametrize("short", ["sensed_p", "t"])

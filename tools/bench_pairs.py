@@ -16,10 +16,13 @@ even-numbered ones. Each side's record is the run's last output line,
 unedited; a run that exits non-zero or whose last line is not JSON stops
 the script, naming the pair.
 
-After the pairs each tree runs the tier-1 tests once, as CI runs them
-(`TIER1`, with `src` on PYTHONPATH), and the record keeps each side's
-passed and failed counts and wall time from pytest's summary line. A
-failing suite is recorded, not fatal: its failures count in `failed`.
+After the pairs each tree runs the tier-1 tests as CI runs them (`TIER1`,
+with `src` on PYTHONPATH), `TIER1_RUNS` times, or once with --smoke: one
+run does not resolve a change in the suite's wall time. The sides
+alternate, the parent first in odd-numbered rounds. The record keeps, for
+each side, every run's passed and failed counts and wall time from
+pytest's summary line, and the median wall time. A failing suite is
+recorded, not fatal: its failures count in `failed`.
 
 The summary of each workload is computed from its pairs by `summarize`, as
 the committed BENCH_*.json files define it: quartiles by
@@ -47,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 SIDES = ("parent", "change")
+TIER1_RUNS = 3
 # The tier-1 tests as CI runs them, after `python`.
 TIER1 = [
     *("-X", "dev", "-m", "pytest", "-q", "-W", "error"),
@@ -151,6 +155,22 @@ def run_tier1(tree: Path) -> dict:
     return parse_tier1(done.stdout)
 
 
+def tier1_rounds(trees: dict[str, Path], rounds: int, run=run_tier1) -> dict:
+    """`run` (by default `run_tier1`) of each side's tree, rounds times, the
+    sides alternating as the pairs do: each side's parses in order and the
+    median of their wall_s, None if a run has none."""
+    runs: dict[str, list] = {side: [] for side in SIDES}
+    for i in range(1, rounds + 1):
+        for side in SIDES if i % 2 else SIDES[::-1]:
+            runs[side].append(run(trees[side]))
+    out = {}
+    for side, parsed in runs.items():
+        walls = [r["wall_s"] for r in parsed]
+        median = None if None in walls else statistics.median(walls)
+        out[side] = {"runs": parsed, "median_wall_s": median}
+    return out
+
+
 def machine() -> dict:
     import numpy
 
@@ -175,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     refs = {side: _git("rev-parse", "--short", getattr(args, side)).strip() for side in SIDES}
+    rounds = 1 if args.smoke else TIER1_RUNS
     pairs: dict[str, list] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -192,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                     pair[side] = run_side(trees[side], workload, seed, timing, where)
                     print(f"{where}: {json.dumps(pair[side])}", flush=True)
                 pairs[workload].append(pair)
-        tier1 = {side: run_tier1(trees[side]) for side in SIDES}
+        tier1 = tier1_rounds(trees, rounds)
         print(f"tier-1: {json.dumps(tier1)}", flush=True)
     seeds = f"seeds {args.seeds[0]}-{args.seeds[-1]}" if len(args.seeds) > 1 else f"seed {args.seeds[0]}"
     record = {
@@ -201,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
             " each side run from its own `git archive` extract, reused by every run of that side,"
             f" with `python3 perfbench/run.py --workload W --seed S {' '.join(timing)} --trace 0`"
             f" ({seeds}); the parent runs first in odd-numbered pairs. Each side's record is"
-            " the run's last output line, unedited. Each tree then runs its tier-1 tests once"
-            " (`tier1`). Written by tools/bench_pairs.py, whose docstring defines the summary."
+            " the run's last output line, unedited. The trees then run their tier-1 tests"
+            f" {rounds} time(s) each, alternating (`tier1`). Written by tools/bench_pairs.py,"
+            " whose docstring defines the summary."
         ),
         "parent": refs["parent"],
         "change": refs["change"],
