@@ -218,8 +218,16 @@ def test_sweep_runs_the_configs_it_checked(tmp_path, monkeypatch):
     assert len(loads) == len(values) + 1
 
 
-def test_sweep_writes_what_its_configs_write_alone(tmp_path):
-    parameter, values = "plant.kv_lp", ["1.58e-8", "1.2e-8", "2e-8"]
+@pytest.mark.parametrize(
+    "parameter, values",
+    [
+        # The plant does not move the reference: every run has the same one.
+        ("plant.kv_lp", ["1.58e-8", "1.2e-8", "2e-8"]),
+        # Each value has its own reference.
+        ("reference.chirp_f1_hz", ["1.0", "2.0", "3.0"]),
+    ],
+)
+def test_sweep_writes_what_its_configs_write_alone(tmp_path, parameter, values):
     config, overrides = scenario_path("chirp_miscalibrated"), {"run.duration_s": "3"}
     sweep(config, parameter, values, tmp_path / "sweep", overrides)
     for i, value in enumerate(values):

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -197,6 +198,29 @@ def test_texts_are_repr_on_a_million_bit_patterns_and_the_powers_of_ten():
     near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), special])
     for col in (patterns, np.concatenate([near, -near])):
         assert traceio._reprs(col) == list(map(repr, col.tolist()))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # orjson writes a one-digit negative exponent, repr two digits.
+        [1.5e-7, 1e-9, -9.99e-6, math.nextafter(1e-5, 0.0)],
+        # orjson writes a positive exponent without its sign.
+        [1e16, -1.5e22, 1e100, 1.7976931348623157e308],
+        # orjson writes fixed notation, repr an exponent.
+        [1e-5, -3e-5, 5e-5, math.nextafter(1e-4, 0.0)],
+        # orjson writes null.
+        [math.nan, PAYLOAD_NAN, math.inf, -math.inf],
+    ],
+    ids=["negative exponent", "positive exponent", "band", "non-finite"],
+)
+def test_texts_are_repr_where_orjson_writes_otherwise(values):
+    # Each case holds only values whose orjson text is not repr's, between
+    # plain ones, so each of the writer's four rewrites must act on it.
+    col = np.array([0.5] + values + [-2.0])
+    raw = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    assert all(text != repr(x) for text, x in zip(raw[1:-1], values)), raw
+    assert traceio._reprs(col) == list(map(repr, col.tolist()))
 
 
 @pytest.mark.parametrize("step", [1.234567e-4, 1e-4, 7.0])
