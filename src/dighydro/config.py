@@ -365,8 +365,11 @@ def cross_validate(cfg: ScenarioConfig) -> list[str]:
         # round(ratio) > MAX_STEPS, and true of an infinite ratio too.
         if r.duration_s / r.dt_s > MAX_STEPS + 0.5:
             errors.append(f"[run] duration_s / dt_s must be at most {MAX_STEPS} steps")
+        # The engine counts these in steps too: a whole number of quanta can
+        # still be more steps than a float holds.
         for key in ("sample_period_s", "window_s", "pi_period_s"):
-            if not _is_multiple(getattr(c, key), r.command_quantum_s):
+            value = getattr(c, key)
+            if not (_is_multiple(value, r.command_quantum_s) and math.isfinite(value / r.dt_s)):
                 errors.append(f"[controller] {key} must be a whole multiple of command_quantum_s")
         # The sensors count their timing in whole steps; a delay of 0 is allowed.
         for key in ("pressure_period_s", "pressure_delay_s", "position_period_s", "position_delay_s"):

@@ -25,6 +25,21 @@ changes, a piece which every row of that run shares, as all rows share the
 comma and newline pieces. The bits, not `==`, decide, so 0.0 and -0.0 keep
 their own texts.
 
+`read_trace` returns what np.loadtxt reads from the whole file, bit for
+bit, and raises ValueError where np.loadtxt does. It reads the rows after
+the header in blocks, `READ_BYTES` and the rest of the line they end in.
+orjson parses a block, as one JSON array of its cells, when three screens
+pass: deleting the bytes of a JSON number leaves exactly ten commas and a
+newline per row, one C call that proves both the character set and eleven
+fields in every row; no cell is the integer -0, which orjson reads as the
+int 0 where loadtxt reads -0.0; and no row is longer than `_LONGEST_ROW`
+bytes, since orjson rounds a number of more than 768 digits wrongly.
+Every other block, and any block orjson refuses (+1, .5, 00, 1e400, an
+empty cell), goes to np.loadtxt, decoded as text mode decodes a file, so
+NaN, inf, CRLF, padded cells and ragged rows read, or raise ValueError,
+as they did when np.loadtxt read the whole file. Each column is one
+np.concatenate over the blocks' tables.
+
 Next to the trace file `<name>` the writer puts `<name>.meta.json`, a
 sidecar holding the trace's label and control domain, which the CSV has
 no room for; `read_trace` reads it back, so metrics computed from a
@@ -35,7 +50,10 @@ every trace it writes reads back.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import re
 import warnings
 from pathlib import Path
 
@@ -46,6 +64,17 @@ from .config import DOMAIN_TRACKING
 from .sim import TRACE_COLUMNS, SimTrace
 
 CHUNK_ROWS = 1024
+READ_BYTES = 32 * 1024
+
+# The bytes of a JSON number, and what is left of a row of eleven cells
+# once they are deleted. orjson reads the integer -0 as 0, loadtxt as -0.0,
+# and it rounds a number of more than 768 digits wrongly (the exact halfway
+# between two doubles with zeros after it, for one); no cell of a row of
+# 768 bytes has that many.
+_NUMBER = b"0123456789.eE+-"
+_ROW = b"," * (len(TRACE_COLUMNS) - 1) + b"\n"
+_NEG_ZERO = re.compile(rb"-0[,\n]")
+_LONGEST_ROW = 768
 
 # orjson writes e-7 and e16 where repr writes e-07 and e+16. Its fixed
 # notation reaches down to 1e-5, so no exponent lies between -5 and 15. A
@@ -137,33 +166,70 @@ def write_trace(trace: SimTrace, path: str | Path) -> None:
             raise ValueError(f"trace column {name!r} has {len(c)} rows, not {n}")
     meta_path = sidecar_path(path)
     meta = _checked_sidecar({"control_domain": trace.control_domain, "label": trace.label}, meta_path)
-    with open(path, "w", newline="\n") as fh:
+    # Opened without O_TRUNC and cut to length once written: a trace written
+    # over the previous run's trace of the same length frees no blocks.
+    with open(path, "w", newline="\n", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for start in range(0, n, CHUNK_ROWS):
             fh.write("".join(_pieces([c[start : start + CHUNK_ROWS] for c in cols])))
+        fh.truncate()
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _table(block: bytes) -> np.ndarray:
+    """The rows of block, whole lines of a trace CSV after its header, as
+    np.loadtxt reads them: orjson parses the block where it cannot differ
+    from loadtxt, loadtxt reads it otherwise; see the module docstring."""
+    rest = block.translate(None, _NUMBER)
+    rows = len(rest) // len(_ROW)
+    if (
+        rest == _ROW * rows
+        and block.endswith(b"\n")
+        and not _NEG_ZERO.search(block)
+        and np.diff(np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")), prepend=-1).max()
+        <= _LONGEST_ROW
+    ):
+        try:
+            values = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            return np.fromiter(values, np.float64, len(values)).reshape(rows, len(TRACE_COLUMNS))
+    with warnings.catch_warnings():
+        # A block of blank lines has no rows, which loadtxt warns about.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # Text mode, as np.loadtxt opens a path: the locale's encoding and
+        # universal newlines.
+        text = io.TextIOWrapper(io.BytesIO(block))
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
 
 
 def read_trace(path: str | Path) -> SimTrace:
     """The trace `write_trace` wrote at path: its eleven columns, each value
     bit for bit (a NaN as float("nan")), and the label and control domain
     from its sidecar. The CSV does not hold the run's books: `dv` is None,
-    and `v_final` 0.0 and `clamp_events` 0 are not the run's."""
+    and `v_final` 0.0 and `clamp_events` 0 are not the run's. A file that
+    np.loadtxt reads differently, or refuses, is a ValueError."""
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if tuple(header) != TRACE_COLUMNS:
-        raise ValueError(f"unexpected trace header in {path}: {header}")
-    with warnings.catch_warnings():
-        # A header-only trace has no rows, which loadtxt warns about.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
-    if not table.size:
-        table = table.reshape(0, len(TRACE_COLUMNS))
-    if table.shape[1] != len(TRACE_COLUMNS):
-        raise ValueError(f"malformed trace rows in {path}: {table.shape[1]} fields each")
-    # Copies, not views: views of the table cost 4-5 % more peak memory.
-    columns = {name: table[:, i].copy() for i, name in enumerate(TRACE_COLUMNS)}
+    tables = [np.empty((0, len(TRACE_COLUMNS)))]
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        # A lone CR ends the header line too, as in text mode.
+        cr = head.find(b"\r") + 1
+        if cr and head[cr : cr + 1] != b"\n":
+            head = head[:cr]
+            fh.seek(cr)
+        header = head.decode().strip().split(",")
+        if tuple(header) != TRACE_COLUMNS:
+            raise ValueError(f"unexpected trace header in {path}: {header}")
+        # Blocks of whole lines: READ_BYTES and the rest of the line they end in.
+        while block := fh.read(READ_BYTES) + fh.readline():
+            table = _table(block)
+            if table.size:
+                if table.shape[1] != len(TRACE_COLUMNS):
+                    raise ValueError(f"malformed trace rows in {path}: {table.shape[1]} fields each")
+                tables.append(table)
+    columns = {name: np.concatenate([t[:, i] for t in tables]) for i, name in enumerate(TRACE_COLUMNS)}
     meta_path = sidecar_path(path)
     return SimTrace(columns=columns, **_checked_sidecar(json.loads(meta_path.read_text()), meta_path))
 

@@ -504,6 +504,8 @@ def key_values(draw):
 @example(kv=("chirp_matched", "reference.chirp_hi", "1e300"))
 @example(kv=("chirp_matched", "sensor.pressure_noise_std_pa", "1.7e308"))
 @example(kv=("step_unloaded_p1", "sensor.position_noise_std_mm", "1.7e308"))
+# A whole number of command quanta whose count of steps overflows.
+@example(kv=("chirp_matched", "controller.window_s", "8.98846567431158e+304"))
 def test_any_value_of_any_key_is_refused_or_runs(tmp_path, kv):
     # Every value load_config accepts gives a run that completes without a
     # warning, with finite columns and metrics, and a finite hysteresis

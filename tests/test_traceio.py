@@ -1,6 +1,8 @@
+import decimal
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import orjson
@@ -366,6 +368,164 @@ def test_a_negative_nan_reads_back_as_a_nan(tmp_path):
     back = read_trace(path)
     for name in TRACE_COLUMNS:
         assert back[name].view(np.uint64).tolist() == bits, name
+
+
+HEADER = ",".join(TRACE_COLUMNS)
+ROW = ",".join(["0.5"] * len(TRACE_COLUMNS))
+HALFWAY_ABOVE_ONE = "1.00000000000000011102230246251565404236316680908203125"
+
+
+def _read_outcome(read, path):
+    """The columns read(path) returns, each as its bytes, or "ValueError"."""
+    try:
+        columns = read(path)
+    except ValueError:
+        return "ValueError"
+    return {name: np.asarray(columns[name], dtype=np.float64).tobytes() for name in TRACE_COLUMNS}
+
+
+def _loadtxt_columns(path):
+    """The columns of the trace CSV at path as np.loadtxt reads the whole
+    file: the reference read_trace is held to."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    if not table.size:
+        table = table.reshape(0, len(TRACE_COLUMNS))
+    if table.shape[1] != len(TRACE_COLUMNS):
+        raise ValueError(f"{table.shape[1]} fields each")
+    return {name: table[:, i] for i, name in enumerate(TRACE_COLUMNS)}
+
+
+def assert_reads_as_loadtxt(path) -> None:
+    """read_trace gives np.loadtxt's columns of the CSV at path bit for bit,
+    or both refuse it with a ValueError."""
+    traceio.sidecar_path(path).write_text('{"label": "x", "control_domain": "none"}')
+    expected = _read_outcome(_loadtxt_columns, path)
+    assert _read_outcome(lambda p: read_trace(p).columns, path) == expected
+
+
+def _halfway(x: float, above: int) -> str:
+    """The exact decimal midway between x and the next double up, or just
+    above it (above=1) or below it (above=-1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        return str(mid + above * mid.scaleb(-900))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Cells orjson reads as JSON numbers, and -0, which it reads as the int 0.
+_json_cell = st.one_of(
+    _finite.map(repr),
+    st.sampled_from(["0", "-0", "7", "-0.0", "-0e0", "1E5", "1e-400", "1e-0", "9007199254740993"]),
+    st.integers(19, 39).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1) - 1)).map(str),
+    st.integers(-(10**40), -(10**19)).map(str),
+    st.builds(lambda x: format(decimal.Decimal(x), "f"), _finite),
+    st.builds(_halfway, st.floats(0.0, 1e300), st.sampled_from([-1, 0, 1])),
+)
+# Cells orjson refuses or reads as something other than a number.
+_other_cell = st.sampled_from(
+    ["-00", "00", "+1", "1.", ".5", "nan", "-nan", "inf", "-inf", "null", "true", "[1]",
+     " 1.5", "2.0 ", "\t3", "", "-", "1e", "1e400", "-1e400", "1e+", "#1"]
+)
+
+
+@st.composite
+def _body(draw) -> str:
+    """A trace CSV: the header and rows of 10, 11 or 12 cells, with CRLF or
+    CR endings and blank lines among them. In a plain body every row holds
+    eleven number cells ended by a newline, as the reader's fast path needs."""
+    plain = draw(st.booleans())
+    cell = _json_cell if plain else _json_cell | _other_cell
+    counts = st.just(11) if plain else st.sampled_from([10, 11, 11, 11, 12])
+    ends = st.just("\n") if plain else st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])
+    lines = [HEADER + draw(ends)]
+    for _ in range(draw(st.integers(0, 12))):
+        n = draw(counts)
+        lines.append(",".join(draw(st.lists(cell, min_size=n, max_size=n))) + draw(ends))
+    text = "".join(lines)
+    return text if plain or draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@pytest.mark.seeded
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(read_bytes=st.sampled_from((1, 7, 64, traceio.READ_BYTES)), body=_body())
+# Rows that orjson reads otherwise than loadtxt, between plain ones, in one
+# body that blocks of 64 bytes split row by row.
+@example(
+    read_bytes=64,
+    body="".join(
+        row + "\n"
+        for row in [HEADER, ROW, ROW.replace("0.5", "-0"), ROW, ",".join(["nan"] * len(TRACE_COLUMNS))]
+        + [ROW.replace("0.5", HALFWAY_ABOVE_ONE + "0" * 720, 1), ROW]
+    ),
+)
+def test_reader_matches_loadtxt_on_any_body(tmp_path, read_bytes, body):
+    # Blocks of 1, 7 and 64 bytes end within the first line after them, so
+    # their edges fall between all rows: a block cut inside a row or a cell
+    # would read differently.
+    path = tmp_path / "trace.csv"
+    path.write_bytes(body.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "READ_BYTES", read_bytes)
+        assert_reads_as_loadtxt(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # orjson reads the integer -0 as 0; loadtxt reads -0.0.
+        [ROW, ROW.replace("0.5", "-0", 1)],
+        # orjson reads null as None, which is no float; loadtxt refuses it.
+        [ROW, ROW.replace("0.5", "null", 1)],
+        # orjson refuses nan; loadtxt reads it.
+        [ROW, ",".join(["nan"] * len(TRACE_COLUMNS))],
+        # Twenty-two cells in two rows: as a flat list they would fill two
+        # rows of eleven, but loadtxt refuses rows of unequal length.
+        [",".join(["1.0"] * 10), ",".join(["2.0"] * 12)],
+        # The halfway between 1.0 and the next double, in 774 digits: orjson
+        # rounds it up, loadtxt to the even 1.0.
+        [ROW, ROW.replace("0.5", HALFWAY_ABOVE_ONE + "0" * 720, 1)],
+    ],
+    ids=["integer -0", "null", "nan row", "10 and 12 fields", "774 digits"],
+)
+def test_reader_leaves_to_loadtxt_what_orjson_reads_otherwise(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    assert_reads_as_loadtxt(path)
+
+
+def test_reader_memory_is_bounded_by_the_columns_it_returns(tmp_path, scenario_run):
+    # np.loadtxt of the whole file held the table and the column copies:
+    # about twice the bytes returned. Reading in blocks adds a few blocks.
+    _, trace = scenario_run("hysteresis")
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    tracemalloc.start()
+    try:
+        back = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(col.nbytes for col in back.columns.values())
+    assert peak < 2 * returned + 4 * traceio.READ_BYTES, (peak, returned)
+
+
+@pytest.mark.parametrize("first, second", [(3, 2), (2, 3)], ids=["shorter over longer", "longer over shorter"])
+def test_a_trace_written_over_another_holds_only_its_own_bytes(tmp_path, first, second):
+    # The writer opens an existing file without truncating it and cuts it
+    # to length at the end.
+    path = tmp_path / "trace.csv"
+    expected = tmp_path / "expected.csv"
+    traces = [
+        SimTrace(columns={name: np.arange(n * 1000.0) / 7 for name in TRACE_COLUMNS}) for n in (first, second)
+    ]
+    write_trace(traces[0], path)
+    write_trace(traces[1], path)
+    write_trace(traces[1], expected)
+    assert path.read_bytes() == expected.read_bytes()
+    assert np.array_equal(read_trace(path)["t"], traces[1]["t"])
 
 
 def test_zero_row_trace_is_only_the_header(tmp_path):
