@@ -5,6 +5,14 @@ orifice flows against the current pressures (high-pressure valve from the
 supply, low-pressure valve towards the tank), integrates the net flow into
 the tube volume, and re-evaluates tube pressure and tip position.
 
+A step that moves the plant does the orifice law and the tip map inline,
+with the expressions of `orifice_flow` and `tip_position` in their order,
+which saves three calls a move: about 8 % of the simulation time of the
+`busy_sweep` benchmark workload, whose steps nearly all move. Those two
+stay the definitions, which `initial_state`, the model-based controller
+and the hysteresis walk call, and a differential test holds `plant_step`
+to a step written out with them, bit for bit.
+
 Quiescent steps are not recomputed. `plant_step` is a pure function of the
 plant, the state, the held commands and dt, so when a call returns a state
 equal to its input, that state is a fixed point: every later call on it with
@@ -12,8 +20,8 @@ the same plant and dt and with both valves still at rest returns it again,
 with the same booked volume. A step returns its input state when
 `valve_step` hands back both valves as themselves (it does so only for a
 valve at rest) and every scalar field is unchanged in its float64 bits, all
-packed by one `struct` call: `==` would equate 0.0 with -0.0, where
-`orifice_flow` keeps the sign through `copysign`, and never matches NaN.
+packed by one `struct` call: `==` would equate 0.0 with -0.0, where the
+orifice law keeps the sign through `copysign`, and never matches NaN.
 `plant_step` remembers the last such fixed point and, when it is handed that
 very state again with both valves at rest, returns the state and its volume
 without evaluating the orifices, the tube or the tip map. The rest of the
@@ -31,8 +39,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from math import copysign, sqrt
 
-from .orifice import OrificeModel, orifice_flow
+from .orifice import OrificeModel
 from .tube import TipPositionMap, TubeModelLinear, tip_position
 from .valve import ValveDynamics, valve_step
 
@@ -169,8 +178,29 @@ def plant_step(
     ):
         return state, fixed[3]
 
-    q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, plant.p_supply, state.p_tube)
-    q_lp = orifice_flow(plant.lp_orifice, lp_valve.armature, plant.p_tank, state.p_tube)
+    # The orifice law of `orifice_flow` for each valve, the same expressions
+    # in the same order. Its checks are not needed here: a ValveDynamics
+    # armature lies in [0, 1], the plant's pressures are finite, and a
+    # HydraulicState's p_tube is not NaN, so only an infinite one is left.
+    p_tube = state.p_tube
+    if not -math.inf < p_tube < math.inf:
+        raise ValueError(f"pressures must be finite, got p1={plant.p_supply}, p2={p_tube}")
+    orifice = plant.hp_orifice
+    dp = plant.p_supply - p_tube
+    abs_dp = abs(dp)
+    if abs_dp > orifice.p_tr:
+        q_hp = hp_valve.armature * orifice.k_v * copysign(sqrt(abs_dp), dp)
+    else:
+        p_tr = orifice.p_tr
+        q_hp = hp_valve.armature * orifice.k_v * dp / (2.0 * sqrt(p_tr)) * (3.0 - abs_dp / p_tr)
+    orifice = plant.lp_orifice
+    dp = plant.p_tank - p_tube
+    abs_dp = abs(dp)
+    if abs_dp > orifice.p_tr:
+        q_lp = lp_valve.armature * orifice.k_v * copysign(sqrt(abs_dp), dp)
+    else:
+        p_tr = orifice.p_tr
+        q_lp = lp_valve.armature * orifice.k_v * dp / (2.0 * sqrt(p_tr)) * (3.0 - abs_dp / p_tr)
 
     dv = (q_hp + q_lp) * dt
     v_new = state.v_tube + dv
@@ -183,7 +213,7 @@ def plant_step(
 
     c_a = plant.tube.c_a
     p_new = c_a * v_new
-    if p_new > plant.p_supply >= state.p_tube and plant.p_tank <= plant.p_supply:
+    if p_new > plant.p_supply >= p_tube and plant.p_tank <= plant.p_supply:
         # Nor can the supply line, the only inflow while the tank is not
         # above it, push the tube past the supply pressure. v_top, then dv,
         # step down until c_a * v_top <= p_supply and v_tube + dv <= v_top,
@@ -200,7 +230,21 @@ def plant_step(
         p_new = c_a * v_new
         clamped = True
 
-    tip, play = tip_position(plant.tip_map, p_new, state.play_out)
+    # The tip map of `tip_position`, the same expressions in the same order.
+    # Its p >= 0 check is not needed here: v_new >= 0 after the clamp at
+    # empty, and c_a > 0.
+    tmap = plant.tip_map
+    width = tmap.play_width
+    play = state.play_out
+    lo = p_new - width
+    play = lo if lo > play else play
+    hi = p_new + width
+    play = hi if hi < play else play
+    tip = tmap.gain * play + tmap.offset
+    lo = tmap.sat_lo
+    tip = lo if lo > tip else tip
+    hi = tmap.sat_hi
+    tip = hi if hi < tip else tip
 
     # The v_tube compare rejects a moving plant before the full one. A valve
     # that valve_step hands back as itself is at rest, and bitwise unchanged.
@@ -209,7 +253,7 @@ def plant_step(
         and hp_valve is state.hp_valve
         and lp_valve is state.lp_valve
         and _SCALARS.pack(v_new, p_new, tip, play, clamped)
-        == _SCALARS.pack(state.v_tube, state.p_tube, state.tip_y, state.play_out, state.clamped)
+        == _SCALARS.pack(state.v_tube, p_tube, state.tip_y, state.play_out, state.clamped)
     ):
         _fixed_point = (plant, state, dt, dv)
         return state, dv

@@ -9,9 +9,11 @@ dropping its sign bit and payload. The engine's traces hold no NaN.
 The texts come from orjson's shortest float writer (Ryu), whose digits are
 repr's. Only its notation differs, and `_reprs` mends it column by column,
 byte for byte. orjson writes an exponent as e-7 or e16 where repr writes
-e-07 and e+16: plain byte replaces add the zero to the one-digit negative
-exponents and the sign to the positive ones. orjson writes the non-finite values as null, and 1e-5 <= |x| < 1e-4 in fixed
-notation where repr uses an exponent: those cells take repr.
+e-07 and e+16: each cell of 1e-9 <= |x| < 1e-5 gets the zero of its
+one-digit negative exponent on its own, and plain byte replaces over the
+column's text add the sign to the positive exponents. orjson writes the
+non-finite values as null, and 1e-5 <= |x| < 1e-4 in fixed notation where
+repr uses an exponent: those cells take repr.
 
 The rows are written in self-contained chunks of `CHUNK_ROWS`, which bounds
 the memory the texts take. Each chunk's text is one join over a flat list
@@ -76,10 +78,8 @@ _ROW = b"," * (len(TRACE_COLUMNS) - 1) + b"\n"
 _NEG_ZERO = re.compile(rb"-0[,\n]")
 _LONGEST_ROW = 768
 
-# orjson writes e-7 and e16 where repr writes e-07 and e+16. Its fixed
-# notation reaches down to 1e-5, so no exponent lies between -5 and 15. A
-# comma ends each cell's text, so e-6, does not match the start of e-61.
-_NEGATIVE = [(b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10)]
+# orjson writes e16 where repr writes e+16. Its fixed notation reaches down
+# to 1e-5, so no exponent lies between -5 and 15.
 _POSITIVE = [(b"e%d" % d, b"e+%d" % d) for d in range(1, 10)]
 
 
@@ -94,18 +94,18 @@ def _reprs(col: np.ndarray) -> list[str]:
     the module docstring."""
     text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
     a = np.abs(col)
-    # A replace scans the whole text, so each form is rewritten only where
-    # it occurs: one-digit negative exponents, -9 to -6, on 1e-9 <= |x| <
-    # 1e-5 (rounding is monotonic, so the shortest digits of |x| >= 1e-9
-    # are >= 1e-9 too), and positive exponents on finite |x| >= 1e16.
-    if ((a >= 1e-9) & (a < 1e-5)).any():
-        for old, new in _NEGATIVE:
-            text = text.replace(old, new)
+    # A replace scans the whole text, so the positive exponents are
+    # rewritten only where they occur, on finite |x| >= 1e16.
     if ((a >= 1e16) & (a < np.inf)).any():
         for old, new in _POSITIVE:
             text = text.replace(old, new)
     texts = text.decode().split(",")
     texts.pop()
+    # The one-digit negative exponents, -9 to -6, are those of 1e-9 <= |x| <
+    # 1e-5 (rounding is monotonic, so the shortest digits of |x| >= 1e-9
+    # are >= 1e-9 too): each of those cells gets its zero on its own.
+    for i in np.flatnonzero((a >= 1e-9) & (a < 1e-5)).tolist():
+        texts[i] = texts[i].replace("e-", "e-0")
     # repr where orjson's notation differs in more than the exponent: the
     # band 1e-5 <= |x| < 1e-4, and NaN and the infinities, which fail the
     # last comparison or both.

@@ -1,11 +1,22 @@
 import contextlib
 import functools
 import gc
+import warnings
 
 import pytest
 
 from dighydro import load_config, run_simulation, scenario_path, write_trace
 from dighydro.sim import TRACE_COLUMNS
+
+# To report a failing example, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, which imports libcst where it is installed;
+# libcst's use of the deprecated mypy_extensions.TypedDict warns, and under
+# `-W error` that warning ends the whole session as an INTERNALERROR. The
+# module is imported here first with only that warning ignored, so a failing
+# property test is reported as a failure and the tests after it still run.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 # A large tank orifice at a coarse step overshoots empty on the way down to

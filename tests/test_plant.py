@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dighydro.plant as plant_module
 from dighydro import (
     HydraulicState,
     OrificeModel,
@@ -15,8 +14,12 @@ from dighydro import (
     TubeModelLinear,
     ValveDynamics,
     initial_state,
+    orifice_flow,
     plant_step,
+    tip_position,
+    valve_step,
 )
+from dighydro.valve import PHASES
 
 NO_DYNAMICS = ValveDynamics(delay=0.0, movement_time=0.0, sticking_time=0.0)
 
@@ -46,18 +49,30 @@ def test_both_valves_closed_is_a_fixed_point():
     assert state.v_tube == 200e3 / 3.3e11
 
 
-def test_fixed_point_is_handed_back_without_recomputing(monkeypatch):
-    plant = make_plant()
+class ArmedOrifice:
+    """An orifice whose flow factor, read by every step that evaluates the
+    orifice law, raises once the orifice is armed."""
+
+    p_tr = 1e3
+    armed = False
+
+    @property
+    def k_v(self):
+        if self.armed:
+            raise AssertionError("orifice evaluated on a known fixed point")
+        return 1e-8
+
+
+def test_fixed_point_is_handed_back_without_recomputing():
+    orifice = ArmedOrifice()
+    plant = replace(make_plant(), hp_orifice=orifice, lp_orifice=orifice)
     state = make_state(plant)
     for _ in range(2):
         state, _ = plant_step(plant, state, False, False, 5e-3)
     again, dv = plant_step(plant, state, False, False, 5e-3)
     assert again is state and dv == 0.0
 
-    def no_flow(*args):
-        raise AssertionError("orifice evaluated on a known fixed point")
-
-    monkeypatch.setattr(plant_module, "orifice_flow", no_flow)
+    orifice.armed = True
     assert plant_step(plant, state, False, False, 5e-3) == (state, 0.0)
     with pytest.raises(AssertionError, match="fixed point"):
         plant_step(plant, state, True, False, 5e-3)  # the HP valve starts to move
@@ -219,3 +234,168 @@ def test_rejects_nonpositive_dt_and_negative_state():
             lp_valve=NO_DYNAMICS,
             tip_y=0.0,
         )
+
+
+def plain_step(plant, state, hp_cmd, lp_cmd, dt):
+    """The plant step written out with the public `orifice_flow` and
+    `tip_position`, which `plant_step` does inline, and without the
+    fixed-point memo: (the new state's fields, dv)."""
+    hp_valve = valve_step(state.hp_valve, hp_cmd, dt)
+    lp_valve = valve_step(state.lp_valve, lp_cmd, dt)
+    q_hp = orifice_flow(plant.hp_orifice, hp_valve.armature, plant.p_supply, state.p_tube)
+    q_lp = orifice_flow(plant.lp_orifice, lp_valve.armature, plant.p_tank, state.p_tube)
+    dv = (q_hp + q_lp) * dt
+    v_new = state.v_tube + dv
+    clamped = False
+    if v_new < 0.0:
+        dv, v_new, clamped = -state.v_tube, 0.0, True
+    c_a, p_supply = plant.tube.c_a, plant.p_supply
+    p_new = c_a * v_new
+    if p_new > p_supply >= state.p_tube and plant.p_tank <= p_supply:
+        v_top = p_supply / c_a
+        while c_a * v_top > p_supply:
+            v_top = math.nextafter(v_top, 0.0)
+        dv = v_top - state.v_tube
+        while state.v_tube + dv > v_top:
+            dv = math.nextafter(dv, -math.inf)
+        v_new = state.v_tube + dv
+        p_new = c_a * v_new
+        clamped = True
+    tip, play = tip_position(plant.tip_map, p_new, state.play_out)
+    return (v_new, p_new, hp_valve, lp_valve, tip, play, clamped), dv
+
+
+_zero = st.sampled_from([0.0, -0.0])
+_valve = st.builds(
+    ValveDynamics,
+    delay=st.just(0.0) | st.floats(0.0, 5e-3),
+    movement_time=st.just(0.0) | st.floats(0.0, 5e-3),
+    sticking_time=st.just(0.0) | st.floats(0.0, 5e-3),
+    # Partial armatures as well as the end stops.
+    armature=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    phase=st.sampled_from(PHASES),
+    timer=st.floats(0.0, 5e-3),
+    pending_open=st.booleans(),
+)
+
+
+@st.composite
+def plants_and_states(draw):
+    p_tr = draw(st.just(1e3) | st.floats(1e-3, 1e7))
+    orifice = st.builds(
+        OrificeModel, k_v=st.sampled_from([1e-8, 8e-8]) | st.floats(1e-12, 1e3), p_tr=st.just(p_tr)
+    )
+    width = draw(_zero | st.floats(0.0, 1e6))
+    # Bounds that saturate the map's output as well as open ones.
+    sat_lo, sat_hi = draw(
+        st.sampled_from([(-math.inf, math.inf), (0.0, 14.0), (-0.0, 0.0)])
+        | st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)).map(sorted)
+    )
+    plant = PlantModel(
+        TubeModelLinear(draw(st.just(3.3e11) | st.floats(1e3, 1e300))),
+        draw(orifice),
+        draw(orifice),
+        TipPositionMap(
+            gain=draw(st.sampled_from([0.0, 2e-5]) | st.floats(0.0, 1e3)),
+            offset=draw(_zero | st.floats(-1e3, 1e3)),
+            sat_lo=sat_lo,
+            sat_hi=sat_hi,
+            play_width=width,
+        ),
+        p_supply=draw(_zero | st.just(600e3) | st.floats(0.0, 1e8)),
+        p_tank=draw(_zero | st.floats(0.0, 1e8)),
+    )
+    # Near either port's pressure, inside and outside the transition band
+    # of the orifice law, or anywhere.
+    near = draw(st.sampled_from([plant.p_supply, plant.p_tank]))
+    p_tube = draw(
+        _zero
+        | st.floats(-2.0 * p_tr, 2.0 * p_tr).map(lambda d: near + d)
+        | st.floats(0.0, 1e8)
+    )
+    v_tube = draw(_zero | st.just(max(p_tube, 0.0) / plant.tube.c_a))
+    play_out = draw(_zero | st.floats(-abs(width), abs(width)).map(lambda d: p_tube + d) | st.floats(-1e8, 1e8))
+    state = HydraulicState(
+        v_tube, p_tube, draw(_valve), draw(_valve), draw(_zero | st.floats(-20.0, 20.0)), play_out, draw(st.booleans())
+    )
+    return plant, state
+
+
+def _plant(c_a=3.3e11, kv=1e-8, p_tr=1e3, tmap=TipPositionMap(2e-5), p_supply=600e3, p_tank=0.0):
+    orifice = OrificeModel(kv, p_tr)
+    return PlantModel(TubeModelLinear(c_a), orifice, orifice, tmap, p_supply, p_tank)
+
+
+@pytest.mark.seeded
+@settings(max_examples=300)
+@given(
+    plant_state=plants_and_states(),
+    commands=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=20),
+    dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-6, 1e-2),
+)
+# The clamp at empty: the tank line drains a nearly empty tube in one step.
+@example(
+    plant_state=(_plant(kv=8e-8), HydraulicState(5e3 / 3.3e11, 5e3, NO_DYNAMICS, NO_DYNAMICS, 0.0)),
+    commands=[(False, True)] * 3,
+    dt=1e-3,
+)
+# The clamp at the supply, then its fixed point.
+@example(
+    plant_state=(_plant(kv=1e-3), HydraulicState(0.0, 0.0, NO_DYNAMICS, NO_DYNAMICS, 0.0)),
+    commands=[(True, False)] * 4,
+    dt=1e-3,
+)
+# Signed zeros throughout: an empty tube at a supply and tank of -0.0.
+@example(
+    plant_state=(
+        _plant(tmap=TipPositionMap(1.0, -0.0, -0.0, 0.0), p_supply=-0.0, p_tank=-0.0),
+        HydraulicState(-0.0, -0.0, NO_DYNAMICS, NO_DYNAMICS, -0.0, -0.0),
+    ),
+    commands=[(True, False), (False, True), (True, True), (False, False)],
+    dt=5e-4,
+)
+# Play with saturation, in both orifice branches, from partial armatures.
+@example(
+    plant_state=(
+        _plant(tmap=TipPositionMap(2e-5, 0.0, 0.0, 4.0, play_width=15e3)),
+        HydraulicState(
+            300e3 / 3.3e11,
+            300e3,
+            ValveDynamics(armature=0.5, phase="opening"),
+            ValveDynamics(armature=0.25, phase="closing"),
+            4.0,
+            310e3,
+        ),
+    ),
+    commands=[(True, False)] * 3 + [(False, True)] * 3,
+    dt=5e-4,
+)
+@example(
+    plant_state=(
+        _plant(p_supply=200.5e3),
+        HydraulicState(200e3 / 3.3e11, 200e3, ValveDynamics(armature=0.5, phase="opening"), NO_DYNAMICS, 0.0),
+    ),
+    commands=[(True, False)] * 3,
+    dt=5e-4,
+)
+def test_moving_step_is_bit_identical_to_the_public_leaves(plant_state, commands, dt):
+    # repr tells 0.0 from -0.0 and True from 1, and is exact for every
+    # other float; a valve's repr holds its fields' reprs.
+    plant, state = plant_state
+    for hp_cmd, lp_cmd in commands:
+        ours, dv = plant_step(plant, state, hp_cmd, lp_cmd, dt)
+        values, plain_dv = plain_step(plant, state, hp_cmd, lp_cmd, dt)
+        assert repr([getattr(ours, f.name) for f in fields(ours)]) == repr(list(values))
+        assert repr(dv) == repr(plain_dv)
+        state = ours
+
+
+@pytest.mark.parametrize("p_tube", [math.inf, -math.inf])
+def test_an_infinite_tube_pressure_raises_as_the_orifice_law_does(p_tube):
+    plant = make_plant()
+    state = HydraulicState(0.0, p_tube, NO_DYNAMICS, NO_DYNAMICS, 0.0)
+    with pytest.raises(ValueError) as expected:
+        orifice_flow(plant.hp_orifice, 0.0, plant.p_supply, p_tube)
+    with pytest.raises(ValueError) as raised:
+        plant_step(plant, state, True, False, 5e-3)
+    assert str(raised.value) == str(expected.value) == f"pressures must be finite, got p1=600000.0, p2={p_tube}"
