@@ -76,7 +76,8 @@ def test_summary_counts_failed_calls_per_side_and_one_pair():
 
 
 @pytest.mark.parametrize(
-    "tag", ["pr19", "pr20", "pr21", "pr22", "pr23", "pr24", "pr25", "pr26", "pr27", "pr28", "pr29"]
+    "tag",
+    ["pr19", "pr20", "pr21", "pr22", "pr23", "pr24", "pr25", "pr26", "pr27", "pr28", "pr29", "pr30"],
 )
 def test_summary_reproduces_the_committed_records(tag):
     record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())
